@@ -76,7 +76,7 @@ let scenario_kernels =
     ("rv-sigma-reference/g3-schedule",
      (let at = Batsched_battery.Profile.length g3_profile in
       fun () ->
-        ignore (Batsched_battery.Rakhmatov.sigma_reference g3_profile ~at)));
+        ignore (Batsched_oracle.Rakhmatov.sigma g3_profile ~at)));
     ("kibam-sigma/g3-schedule",
      fun () ->
        ignore
@@ -246,12 +246,13 @@ let scenario_scaling =
 (* The incremental-vs-reference choose pair on one n64 instance: same
    graph, same sequence, same window, only the CalculateDPF evaluation
    strategy differs — the ratio of the two rows is the speedup the
-   incremental path buys, machine-independently.  The annealing pair
-   plays the same role for the delta schedule evaluator: the same short
-   walk (same params, same seed, same RNG stream) costed through
-   [Eval]'s O(1) moves versus the full schedule + sigma path — their
-   ratio is the delta-evaluation speedup on a workload that, unlike
-   [Iterate], revisits near-identical profiles thousands of times. *)
+   incremental path buys over the seed oracle (Batsched_oracle),
+   machine-independently.  The annealing pairs play the same role for
+   the delta schedule evaluator: the same short walk (same params, same
+   seed, same RNG stream) costed through [Eval]'s O(1) moves versus the
+   oracle's full schedule + sigma path — their ratio is the
+   delta-evaluation speedup on a workload that, unlike [Iterate],
+   revisits near-identical profiles thousands of times. *)
 let scenario_choose =
   let g = fork_join [ 15; 15; 15; 14 ] in
   let deadline =
@@ -267,25 +268,21 @@ let scenario_choose =
   in
   (* same walk, same seed, same RNG stream; only the candidate-costing
      path differs — the per-model delta/reference ratio is the speedup
-     the matching evaluation strategy buys (KiBaM: closed-form
-     suffix-coordinate terms; diffusion: checkpointed PDE restarts) *)
-  let anneal m eval () =
+     the matching incremental terms buy (KiBaM: closed-form
+     suffix-coordinate terms) *)
+  let anneal m () =
     let rng = Batsched_numeric.Rng.create 11 in
     ignore
-      (Batsched_baselines.Annealing.run ~params:anneal_params ~eval ~rng
-         ~model:m g ~deadline)
+      (Batsched_baselines.Annealing.run ~params:anneal_params ~rng ~model:m g
+         ~deadline)
+  in
+  let anneal_reference m () =
+    let rng = Batsched_numeric.Rng.create 11 in
+    ignore
+      (Batsched_oracle.Annealing.run ~params:anneal_params ~rng ~model:m g
+         ~deadline)
   in
   let kibam = Batsched_battery.Kibam.model () in
-  let diffusion =
-    (* coarse grid: the pair measures the checkpointing strategy, not
-       the grid resolution, and the default 64-node grid is far too
-       slow for a 0.5 s Bechamel quota *)
-    let params =
-      Batsched_battery.Diffusion.make_params ~nodes:16 ~dt:0.5 ~alpha:40375.0
-        ~beta:0.273 ()
-    in
-    Batsched_battery.Diffusion.model ~params ()
-  in
   [ ("choose-n64/window0",
      fun () ->
        ignore
@@ -294,28 +291,49 @@ let scenario_choose =
     ("choose-n64-reference/window0",
      fun () ->
        ignore
-         (Batsched.Choose.choose_design_points_reference cfg g ~sequence:seq
+         (Batsched_oracle.Choose.choose_design_points cfg g ~sequence:seq
             ~window_start:0));
-    ("anneal-n64-delta/short-walk", anneal model `Delta);
-    ("anneal-n64-reference/short-walk", anneal model `Reference);
-    ("anneal-n64-kibam-delta/short-walk", anneal kibam `Delta);
-    ("anneal-n64-kibam-reference/short-walk", anneal kibam `Reference);
-    ("anneal-n64-diffusion-delta/short-walk", anneal diffusion `Delta);
-    ("anneal-n64-diffusion-reference/short-walk", anneal diffusion `Reference)
-  ]
+    ("anneal-n64-delta/short-walk", anneal model);
+    ("anneal-n64-reference/short-walk", anneal_reference model);
+    ("anneal-n64-kibam-delta/short-walk", anneal kibam);
+    ("anneal-n64-kibam-reference/short-walk", anneal_reference kibam) ]
+
+(* Fork-join with static striding: [k] fresh domains per call (the
+   caller is worker 0), worker [w] taking indices [w], [w + k], ...
+   Each spawned worker banks its probe counters before it exits. *)
+let strided_map k f xs =
+  let n = Array.length xs in
+  let k = Stdlib.max 1 (Stdlib.min k n) in
+  let results = Array.make n None in
+  let slice w () =
+    let i = ref w in
+    while !i < n do
+      results.(!i) <- Some (f xs.(!i));
+      i := !i + k
+    done
+  in
+  let spawned =
+    List.init (k - 1) (fun w ->
+        Domain.spawn (fun () ->
+            Fun.protect ~finally:Batsched_numeric.Probe.drain_local
+              (slice (w + 1))))
+  in
+  slice 0 ();
+  List.iter Domain.join spawned;
+  Array.map Option.get results
 
 (* Work-stealing vs fork-join on a deliberately imbalanced multistart:
    16 short anneal trials whose budgets spread 10x, every heavy trial
    sitting at a stride-4 position — the placement that hands a strided
    fork-join split all the heavy trials on one worker.  Both rows run
-   identical trials on the same 4-slot pool; [steal] goes through the
-   persistent executor's chunked deques, [forkjoin] through the old
-   spawn-per-call strided split kept as [Pool.map_array_strided].  The
-   row ratio is the executor's win: idle-worker rebalancing plus
-   amortized domain spawn (on a single-core host the spawn amortization
-   is most of it).  The serve-soak row drives the whole daemon path —
-   parse, admission, pool jobs, histograms — over the generator mix the
-   CI smoke fixture uses. *)
+   identical trials with 4 workers; [steal] goes through the
+   persistent executor's chunked deques, [forkjoin] through the
+   executor it replaced ([strided_map] above).  The row ratio is the
+   executor's win: idle-worker rebalancing plus amortized domain spawn
+   (on a single-core host the spawn amortization is most of it).  The
+   serve-soak row drives the whole daemon path — parse, admission, pool
+   jobs, histograms — over the generator mix the CI smoke fixture
+   uses. *)
 let scenario_serve =
   let pool4 = Batsched_numeric.Pool.create 4 in
   let g8 = fork_join [ 3; 2 ] in
@@ -340,7 +358,7 @@ let scenario_serve =
      fun () -> ignore (Batsched_numeric.Pool.map_array pool4 trial ixs));
     ("multistart-imbalanced/forkjoin",
      fun () ->
-       ignore (Batsched_numeric.Pool.map_array_strided pool4 trial ixs));
+       ignore (strided_map 4 trial ixs));
     ("serve-soak/mixed-200",
      fun () -> ignore (Batsched_serve.Soak.run ~pool:pool4 ~n:200 ())) ]
 
@@ -364,8 +382,8 @@ let scenario_fleet =
   in
   let reference cycles () =
     ignore
-      (Batsched_battery.Periodic.cycles_to_death_reference ~max_cycles:cycles
-         ~model ~alpha:1e9 ~period:40.0 mission)
+      (Batsched_oracle.Periodic.cycles_to_death ~max_cycles:cycles ~model
+         ~alpha:1e9 ~period:40.0 mission)
   in
   let pool4 = Batsched_numeric.Pool.create 4 in
   [ ("periodic-fast/rv-60", fast 60);
@@ -448,8 +466,8 @@ let delta_cross_check () =
   in
   check_instance ~model "fork-join-n16" g ~deadline:n16_deadline;
   (* the other delta strategies: KiBaM goes through the closed-form
-     suffix-coordinate incremental terms, diffusion through the
-     checkpointed PDE stepper — same oracle, same tolerance *)
+     suffix-coordinate incremental terms, diffusion through the generic
+     full-eval fallback — same oracle, same tolerance *)
   let kibam = Batsched_battery.Kibam.model () in
   check_instance ~model:kibam "kibam-g2" Batsched_taskgraph.Instances.g2
     ~deadline:(List.hd Batsched_taskgraph.Instances.g2_deadlines);

@@ -71,32 +71,9 @@ type pending =
       finish : float;
     }
 
-(* Checkpointed integration state for stepper models (the diffusion
-   PDE): [snaps] holds the integration state {e entering} position
-   [j * stride] for each snapshot index [j] (snapshot 0 is the
-   fully-charged initial state), flattened into one float array so a
-   restore is a single [Array.blit].  A candidate move at position [i]
-   restores the nearest snapshot at or before [i] and re-integrates
-   the suffix — O(n - i + stride) advances instead of O(n) — which is
-   bit-identical to a from-scratch integration because the stepper
-   advances each interval independently of absolute time.  Snapshots
-   after a committed move's position are stale; [valid] counts the
-   trusted prefix and revalidation is lazy (paid on the next candidate
-   that needs a later snapshot). *)
-type ck = {
-  ops : Model.stepper_ops;
-  dim : int;
-  work : float array;
-  mutable stride : int;
-  mutable nsnaps : int;
-  mutable snaps : float array;
-  mutable valid : int;          (* snapshots 0..valid-1 match committed state *)
-}
-
 type t = {
   model : Model.t;
   inc : Model.incremental option;
-  ck : ck option;
   mutable n : int;
   mutable currents : float array;
   mutable durations : float array;
@@ -120,18 +97,6 @@ type t = {
 let create (model : Model.t) =
   { model;
     inc = model.Model.incremental;
-    ck =
-      (match model.Model.incremental, model.Model.stepper with
-      | None, Some st ->
-          Some
-            { ops = st.Model.fresh ();
-              dim = st.Model.state_dim;
-              work = Array.make st.Model.state_dim 0.0;
-              stride = 1;
-              nsnaps = 0;
-              snaps = [||];
-              valid = 0 }
-      | _ -> None);
     n = 0;
     currents = [||];
     durations = [||];
@@ -194,74 +159,6 @@ let full_eval t =
   let p = Profile.sequential_fn ~n:t.n (fun i -> (t.currents.(i), t.durations.(i))) in
   (Model.sigma_end t.model p, Profile.length p)
 
-(* -- checkpointed stepper path ------------------------------------- *)
-
-let[@inline] ck_snap_of ck pos = pos / ck.stride
-
-(* Re-derive snapshots valid..j from the last trusted one, integrating
-   the committed intervals.  Leaves [valid > j]. *)
-let ck_ensure t ck j =
-  if j >= ck.valid then begin
-    let probe = Probe.local () in
-    probe.Probe.delta_ck_restores <- probe.Probe.delta_ck_restores + 1;
-    let from = (ck.valid - 1) * ck.stride in
-    Array.blit ck.snaps ((ck.valid - 1) * ck.dim) ck.work 0 ck.dim;
-    for pos = from to (j * ck.stride) - 1 do
-      ck.ops.Model.advance ck.work ~current:t.currents.(pos)
-        ~duration:t.durations.(pos);
-      if (pos + 1) mod ck.stride = 0 then begin
-        let s = (pos + 1) / ck.stride in
-        Array.blit ck.work 0 ck.snaps (s * ck.dim) ck.dim;
-        ck.valid <- s + 1
-      end
-    done;
-    probe.Probe.delta_ck_advances <-
-      probe.Probe.delta_ck_advances + ((j * ck.stride) - from)
-  end
-
-(* Cost a candidate whose interval at position [p] is [point p]:
-   restore the snapshot preceding the first modified position [mpos]
-   and re-integrate the suffix.  Returns the candidate sigma. *)
-let ck_eval t ck ~mpos ~point =
-  let probe = Probe.local () in
-  let j = ck_snap_of ck mpos in
-  ck_ensure t ck j;
-  Array.blit ck.snaps (j * ck.dim) ck.work 0 ck.dim;
-  probe.Probe.delta_ck_restores <- probe.Probe.delta_ck_restores + 1;
-  let from = j * ck.stride in
-  for pos = from to t.n - 1 do
-    let current, duration = point pos in
-    ck.ops.Model.advance ck.work ~current ~duration
-  done;
-  probe.Probe.delta_ck_advances <-
-    probe.Probe.delta_ck_advances + (t.n - from);
-  ck.ops.Model.observe ck.work
-
-(* Full integration from the initial state, (re)building every
-   snapshot.  Sets the committed sigma. *)
-let ck_load t ck =
-  let n = t.n in
-  ck.stride <- Stdlib.max 1 (int_of_float (sqrt (float_of_int n)));
-  ck.nsnaps <- Stdlib.max 1 ((n + ck.stride - 1) / ck.stride);
-  if Array.length ck.snaps < ck.nsnaps * ck.dim then
-    ck.snaps <- Array.make (ck.nsnaps * ck.dim) 0.0;
-  ck.ops.Model.start ck.work;
-  Array.blit ck.work 0 ck.snaps 0 ck.dim;
-  ck.valid <- 1;
-  for pos = 0 to n - 1 do
-    ck.ops.Model.advance ck.work ~current:t.currents.(pos)
-      ~duration:t.durations.(pos);
-    let s = (pos + 1) / ck.stride in
-    if (pos + 1) mod ck.stride = 0 && s < ck.nsnaps then begin
-      Array.blit ck.work 0 ck.snaps (s * ck.dim) ck.dim;
-      ck.valid <- s + 1
-    end
-  done;
-  let probe = Probe.local () in
-  probe.Probe.delta_ck_advances <- probe.Probe.delta_ck_advances + n;
-  t.sig_t <- ck.ops.Model.observe ck.work;
-  t.sig_c <- 0.0
-
 let resum t =
   (match t.inc with
   | None -> ()
@@ -299,19 +196,15 @@ let load t ~n ~point =
   done;
   t.fin_t <- !tt;
   t.fin_c <- !tc;
-  (match t.inc, t.ck with
-  | Some inc, _ ->
+  (match t.inc with
+  | Some inc ->
       for k = 0 to n - 1 do
         t.terms.(k) <-
           inc.Model.term ~current:t.currents.(k) ~duration:t.durations.(k)
             ~tail:(t.tail_t.(k) +. t.tail_c.(k))
       done;
       resum t
-  | None, Some ck ->
-      (* the compensated finish from the tail chain above stands; the
-         sigma comes from a full checkpointed integration *)
-      ck_load t ck
-  | None, None ->
+  | None ->
       let s, f = full_eval t in
       t.sig_t <- s;
       t.sig_c <- 0.0;
@@ -364,28 +257,13 @@ let try_swap t k =
   else
   match t.inc with
   | None ->
-      (match t.ck with
-      | Some ck ->
-          (* the swap leaves the makespan alone; only the integration
-             order of the two intervals changes *)
-          let sigma =
-            ck_eval t ck ~mpos:k ~point:(fun pos ->
-                let p =
-                  if pos = k then k + 1 else if pos = k + 1 then k else pos
-                in
-                (t.currents.(p), t.durations.(p)))
-          in
-          let fin = finish t in
-          t.pending <- Full_swap { k; sigma; finish = fin };
-          (sigma, fin)
-      | None ->
-          swap_entries t.currents k (k + 1);
-          swap_entries t.durations k (k + 1);
-          let sigma, finish = full_eval t in
-          swap_entries t.currents k (k + 1);
-          swap_entries t.durations k (k + 1);
-          t.pending <- Full_swap { k; sigma; finish };
-          (sigma, finish))
+      swap_entries t.currents k (k + 1);
+      swap_entries t.durations k (k + 1);
+      let sigma, finish = full_eval t in
+      swap_entries t.currents k (k + 1);
+      swap_entries t.durations k (k + 1);
+      t.pending <- Full_swap { k; sigma; finish };
+      (sigma, finish)
   | Some inc ->
       (* after the swap, position k holds old interval k+1 with tail
          tail_{k+1} + D_k, and position k+1 holds old interval k with
@@ -441,34 +319,14 @@ let try_set t pos ~current ~duration =
   else
   match t.inc with
   | None ->
-      (match t.ck with
-      | Some ck ->
-          let sigma =
-            ck_eval t ck ~mpos:pos ~point:(fun p ->
-                if p = pos then (current, duration)
-                else (t.currents.(p), t.durations.(p)))
-          in
-          (* fresh compensated makespan with the replaced duration — an
-             O(n) float sum, noise next to the integration above *)
-          let ft = ref 0.0 and fc = ref 0.0 in
-          for p = 0 to t.n - 1 do
-            let d = if p = pos then duration else t.durations.(p) in
-            let a, b = nadd !ft !fc d in
-            ft := a;
-            fc := b
-          done;
-          let fin = !ft +. !fc in
-          t.pending <- Full_set { pos; current; duration; sigma; finish = fin };
-          (sigma, fin)
-      | None ->
-          let old_c = t.currents.(pos) and old_d = t.durations.(pos) in
-          t.currents.(pos) <- current;
-          t.durations.(pos) <- duration;
-          let sigma, finish = full_eval t in
-          t.currents.(pos) <- old_c;
-          t.durations.(pos) <- old_d;
-          t.pending <- Full_set { pos; current; duration; sigma; finish };
-          (sigma, finish))
+      let old_c = t.currents.(pos) and old_d = t.durations.(pos) in
+      t.currents.(pos) <- current;
+      t.durations.(pos) <- duration;
+      let sigma, finish = full_eval t in
+      t.currents.(pos) <- old_c;
+      t.durations.(pos) <- old_d;
+      t.pending <- Full_set { pos; current; duration; sigma; finish };
+      (sigma, finish)
   | Some inc ->
       (* candidate suffix sums for positions 0..pos-1: the chain from
          the unchanged tail at [pos] through the new duration *)
@@ -554,20 +412,14 @@ let commit t =
       t.sig_t <- sigma;
       t.sig_c <- 0.0;
       t.fin_t <- finish;
-      t.fin_c <- 0.0;
-      (match t.ck with
-      | Some ck -> ck.valid <- Stdlib.min ck.valid (ck_snap_of ck k + 1)
-      | None -> ())
+      t.fin_c <- 0.0
   | Full_set { pos; current; duration; sigma; finish } ->
       t.currents.(pos) <- current;
       t.durations.(pos) <- duration;
       t.sig_t <- sigma;
       t.sig_c <- 0.0;
       t.fin_t <- finish;
-      t.fin_c <- 0.0;
-      (match t.ck with
-      | Some ck -> ck.valid <- Stdlib.min ck.valid (ck_snap_of ck pos + 1)
-      | None -> ()));
+      t.fin_c <- 0.0);
   t.pending <- No_move;
   probe.Probe.delta_commits <- probe.Probe.delta_commits + 1;
   t.commits <- t.commits + 1;

@@ -21,18 +21,11 @@
     at most [i + 1] term evaluations (with an automatic switch to a
     fresh full sum when that is cheaper).
 
-    Models without a decomposition but with a {!Model.stepper} (the
-    diffusion PDE) go through checkpointed partial solutions: the
-    integration state is snapshotted every [~sqrt n] positions, a
-    candidate at position [i] restores the preceding snapshot and
-    re-integrates only the suffix (bit-identical to a from-scratch
-    integration), and a commit lazily invalidates the snapshots after
-    the move's position.  Counted in [Probe.delta_ck_restores] /
-    [delta_ck_advances].
-
-    Models with neither fall back to a full profile evaluation per
-    candidate, counted in [Probe.delta_full_evals] (and per model name
-    under the ["delta_full_evals/<name>"] named counter).
+    Models without a decomposition (the validation-only diffusion PDE)
+    take the one generic fallback: a full profile evaluation through
+    the model's [sigma] per candidate, counted in
+    [Probe.delta_full_evals] (and per model name under the
+    ["delta_full_evals/<name>"] named counter).
 
     Numerics: results agree with the model's full [sigma] path within
     1e-9 {e relative}, not bit-for-bit — the full path derives each

@@ -18,7 +18,7 @@ let default_params =
   make_params ~alpha:40375.0 ~beta:Rakhmatov.default_beta ()
 
 (* Work arrays for the Crank–Nicolson sweeps, sized once per
-   integration context so the stepping loop allocates nothing. *)
+   integration so the stepping loop allocates nothing. *)
 type scratch = {
   v : float array;      (* explicit-half right-hand side *)
   diag : float array;
@@ -108,31 +108,10 @@ let surface_density ?(params = default_params) profile ~at =
 let sigma ?(params = default_params) profile ~at =
   params.alpha -. surface ~params profile ~at
 
-(* Checkpointable integration for the delta evaluator: the PDE state is
-   the full charge-density grid, a flat float vector {!Delta} can
-   snapshot and restore with [Array.blit].  [advance] splits every
-   interval independently of absolute time, so restoring a checkpoint
-   and re-integrating the suffix is bit-identical to integrating the
-   whole profile from scratch. *)
-let stepper params =
-  let n = params.nodes in
-  let dx = 1.0 /. float_of_int (n - 1) in
-  let dee = params.beta *. params.beta /. (Float.pi *. Float.pi) in
-  { Model.state_dim = n;
-    fresh =
-      (fun () ->
-        let sc = make_scratch n in
-        { Model.start = (fun u -> Array.fill u 0 n params.alpha);
-          advance =
-            (fun u ~current ~duration ->
-              advance ~params ~sc ~dee ~dx ~current u duration);
-          observe = (fun u -> params.alpha -. u.(0)) }) }
-
 let model ?(params = default_params) () =
   { Model.name = "diffusion-pde"; sigma = (fun p ~at -> sigma ~params p ~at);
+    (* a validation model: no fast kernels, so the delta evaluator,
+       Sigma_batch and Periodic all take their generic fallbacks *)
     incremental = None;
-    stepper = Some (stepper params);
     batch = None;
-    (* no finite channel set: sigma is the solution of a PDE, so
-       Periodic advances a carried stepper state instead *)
     decay = None }

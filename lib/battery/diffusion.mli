@@ -22,7 +22,10 @@
 
     This module exists to {e validate} {!Rakhmatov} against first
     principles (see the "validation" experiment); it is orders of
-    magnitude slower and should not drive the scheduler. *)
+    magnitude slower and should not drive the scheduler.  It therefore
+    ships no fast kernel: the delta evaluator, {!Sigma_batch} and
+    {!Periodic} cost it through their generic fallbacks, which call
+    {!sigma} on whole profiles. *)
 
 type params = {
   alpha : float;      (** capacity parameter, mA*min; > 0 *)
@@ -46,15 +49,7 @@ val sigma : ?params:params -> Profile.t -> at:float -> float
 val surface_density : ?params:params -> Profile.t -> at:float -> float
 (** [u(0, at)] itself (the battery dies when it reaches 0). *)
 
-val stepper : params -> Model.stepper
-(** Checkpointable integration context: state is the charge-density
-    grid ([nodes] floats).  Because each interval is integrated
-    independently of absolute time, restoring a snapshot and
-    re-integrating a suffix is bit-identical to a from-scratch
-    integration — which is what makes the delta evaluator's
-    checkpointed path exact. *)
-
 val model : ?params:params -> unit -> Model.t
-(** Packaged as a {!Model.t} named ["diffusion-pde"], with the
-    checkpointed {!stepper} (no per-interval decomposition exists for
-    the PDE). *)
+(** Packaged as a {!Model.t} named ["diffusion-pde"], with no
+    incremental, batch or decay kernel (no per-interval decomposition
+    exists for the PDE). *)

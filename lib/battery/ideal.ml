@@ -33,4 +33,4 @@ let decay =
 
 let model =
   { Model.name = "ideal"; sigma; incremental = Some incremental;
-    stepper = None; batch = Some batch; decay = Some decay }
+    batch = Some batch; decay = Some decay }

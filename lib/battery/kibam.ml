@@ -138,6 +138,5 @@ let decay params =
 let model ?(params = default_params) () =
   { Model.name = "kibam"; sigma = (fun p ~at -> sigma ~params p ~at);
     incremental = Some (incremental params);
-    stepper = None;
     batch = Some (batch params);
     decay = Some (decay params) }

@@ -9,17 +9,6 @@ type decay = {
   charge : current:float -> duration:float -> float;
 }
 
-type stepper_ops = {
-  start : float array -> unit;
-  advance : float array -> current:float -> duration:float -> unit;
-  observe : float array -> float;
-}
-
-type stepper = {
-  state_dim : int;
-  fresh : unit -> stepper_ops;
-}
-
 type batch = {
   batch_run :
     n:int ->
@@ -36,7 +25,6 @@ type t = {
   name : string;
   sigma : Profile.t -> at:float -> float;
   incremental : incremental option;
-  stepper : stepper option;
   batch : batch option;
   decay : decay option;
 }

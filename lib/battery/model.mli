@@ -5,7 +5,14 @@
     parameter alpha dies at the first instant where sigma reaches alpha.
     Five implementations ship with the library: {!Ideal}, {!Peukert},
     {!Rakhmatov} (the paper's cost function), {!Kibam} and the
-    {!Diffusion} PDE reference. *)
+    {!Diffusion} PDE reference.
+
+    Each operation has one production path per model: the optional
+    fields below ([incremental], [batch], [decay]) are the fast
+    kernels, and a model that lacks one takes the generic fallback
+    built on [sigma] alone.  The analytical models supply all three;
+    the PDE, which exists to validate them, supplies none.  Reference
+    oracles for the fast kernels live with the tests (test/oracle). *)
 
 type incremental = {
   term : current:float -> duration:float -> tail:float -> float;
@@ -37,15 +44,6 @@ type incremental = {
 (** First-class incremental evaluation interface.  See
     {!Delta} for the mutable schedule state built on top of it. *)
 
-type stepper_ops = {
-  start : float array -> unit;
-  (** Write the fully-charged initial state into the buffer. *)
-  advance : float array -> current:float -> duration:float -> unit;
-  (** Evolve the state in place through one constant-current interval.
-      [duration = 0] must leave the state bit-identical. *)
-  observe : float array -> float;
-  (** Sigma at the instant the state describes. *)
-}
 type decay = {
   rates : float array;
   (** The distinct relaxation rates [lambda_t] (1/minutes) of the
@@ -75,26 +73,8 @@ type decay = {
     such terms from a full battery: ideal and Peukert (no channels),
     KiBaM (one channel, the diagonalized bound-well disequilibrium),
     Rakhmatov–Vrudhula (one channel per truncated series term).  The
-    diffusion PDE has no finite channel set and uses {!stepper}
-    instead. *)
-
-(** One integration context.  The float-array state representation is
-    what lets {!Delta} snapshot and restore checkpoints with flat
-    [Array.blit]s, no per-checkpoint allocation. *)
-
-type stepper = {
-  state_dim : int;
-  (** Number of floats in a state vector. *)
-  fresh : unit -> stepper_ops;
-  (** Allocate a context (scratch buffers etc.).  Contexts are not
-      shared across domains; each evaluator calls [fresh] once. *)
-}
-(** Checkpointable sequential integration, for stateful models whose
-    sigma does {e not} decompose per interval (the diffusion PDE).
-    {!Delta} snapshots the state every k intervals so a candidate move
-    at position [i] re-integrates only the suffix from the preceding
-    checkpoint — O(n/k + stride) instead of O(n) per move — while
-    remaining bit-identical to a from-scratch integration. *)
+    diffusion PDE has no finite channel set; {!Periodic} costs it on
+    its quadratic full-history fallback. *)
 
 type batch = {
   batch_run :
@@ -134,19 +114,16 @@ type t = {
   (** The per-interval decomposition of [sigma] at the makespan, when
       the model admits one (ideal, Peukert, Rakhmatov–Vrudhula, KiBaM
       — for KiBaM the two-well affine maps diagonalize in suffix-time
-      coordinates, see DESIGN.md §11). *)
-  stepper : stepper option;
-  (** Checkpointable integration for models with state but no
-      per-interval decomposition (the diffusion PDE).  The delta
-      evaluator prefers [incremental], then [stepper], then falls back
-      to a counted full re-evaluation per candidate move. *)
+      coordinates, see DESIGN.md §11).  Without one (the diffusion
+      PDE) the delta evaluator falls back to a counted full
+      re-evaluation per candidate move. *)
   batch : batch option;
   (** Population-batched kernel, when one exists; {!Sigma_batch} falls
       back to sequential [sigma] calls otherwise. *)
   decay : decay option;
   (** Exponential-channel structure of the per-interval term, when the
       model admits one; {!Periodic}'s linear-time endurance kernel
-      prefers [decay], then [stepper], then falls back to the quadratic
+      needs [decay] and otherwise falls back to the quadratic
       full-history path. *)
 }
 

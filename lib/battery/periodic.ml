@@ -26,10 +26,10 @@ type device = {
    detected by probing those ends against the history built so far. *)
 
 (* Reference path: materialize the growing full history and probe it
-   with the model's own [sigma].  O(cycles^2) interval work — kept
-   verbatim from the original implementation as the oracle the property
-   tests compare the fast kernels against, and as the fallback for
-   models exposing neither [decay] nor [stepper]. *)
+   with the model's own [sigma].  O(cycles^2) interval work — the
+   fallback for models without a [decay] view (the diffusion PDE).
+   The property tests reach it as the oracle for the channel kernel by
+   stripping [decay] off an analytic model. *)
 let reference_run ~max_cycles ~model ~alpha ~period cycle =
   let base =
     List.map
@@ -57,13 +57,6 @@ let reference_run ~max_cycles ~model ~alpha ~period cycle =
   in
   go 0 []
 
-let cycles_to_death_reference ?(max_cycles = default_max_cycles) ~model ~alpha
-    ~period cycle =
-  check_inputs ~alpha ~period cycle;
-  match reference_run ~max_cycles ~model ~alpha ~period cycle with
-  | Dies 0, sg -> raise (Unsustainable sg)
-  | outcome, _ -> outcome
-
 module Batch = struct
   type result = { outcome : outcome; fatal_sigma : float }
 
@@ -86,17 +79,7 @@ module Batch = struct
      accumulator update g_t <- 1 + rho_t * g_t after each survived
      cycle is the whole per-cycle cost: O(probes * channels) flops and
      zero [exp]s.  Every exponent evaluated at setup is <= ~0 (the
-     cycle fits in the period), so nothing can overflow.
-
-     [Carried] advances a [Model.stepper] state through the mission
-     once instead of re-integrating the whole history per probe —
-     O(cycles) integration work total instead of O(cycles^2).  The
-     arithmetic deliberately mirrors the reference probe ([run_to]
-     targets computed as [start +. offset] and spans as differences
-     against the carried clock), because the reference's from-scratch
-     integration for any probe performs exactly a prefix of the carried
-     advance sequence: the two paths are bit-identical, not just
-     close. *)
+     cycle fits in the period), so nothing can overflow. *)
   type channels_state = {
     nprobe : int;
     nterm : int;
@@ -107,18 +90,8 @@ module Batch = struct
     g : float array;     (* nterm; mutable geometric accumulator *)
   }
 
-  type carried_state = {
-    ops : Model.stepper_ops;
-    u : float array;
-    starts : float array;
-    durations : float array;
-    currents : float array;
-    mutable clock : float;
-  }
-
   type compiled =
     | Channels of channels_state
-    | Carried of carried_state
     | Resolved  (* outcome computed at setup via the reference path *)
 
   let collect_intervals cycle =
@@ -216,27 +189,6 @@ module Batch = struct
         done;
         None
 
-  let step_carried c ~alpha ~k ~period =
-    let offset = float_of_int k *. period in
-    let run_to t ~current =
-      if t > c.clock then begin
-        c.ops.Model.advance c.u ~current ~duration:(t -. c.clock);
-        c.clock <- t
-      end
-    in
-    let e = Array.length c.starts in
-    let rec probe j =
-      if j >= e then None
-      else begin
-        let s_abs = c.starts.(j) +. offset in
-        run_to s_abs ~current:0.0;
-        run_to (s_abs +. c.durations.(j)) ~current:c.currents.(j);
-        let sg = c.ops.Model.observe c.u in
-        if sg >= alpha then Some sg else probe (j + 1)
-      end
-    in
-    probe 0
-
   let run ?(max_cycles = default_max_cycles) ~n ~device () =
     if n < 0 then invalid_arg "Periodic.Batch.run: negative device count";
     let results =
@@ -247,16 +199,14 @@ module Batch = struct
       let probe = Probe.local () in
       let compiled = Array.make n Resolved in
       let alphas = Array.make n 0.0 in
-      let periods = Array.make n 0.0 in
       let alive = Array.make n 0 in
       let nalive = ref 0 in
       for i = 0 to n - 1 do
         let dv = device i in
         check_inputs ~alpha:dv.alpha ~period:dv.period dv.cycle;
         alphas.(i) <- dv.alpha;
-        periods.(i) <- dv.period;
-        match (dv.model.Model.decay, dv.model.Model.stepper) with
-        | Some dc, _ ->
+        match dv.model.Model.decay with
+        | Some dc ->
             let starts, durations, currents = collect_intervals dv.cycle in
             compiled.(i) <-
               compile_channels dc ~period:dv.period ~starts ~durations
@@ -264,17 +214,7 @@ module Batch = struct
             alive.(!nalive) <- i;
             incr nalive;
             Probe.bump_named probe "periodic/channel_devices" 1
-        | None, Some sp ->
-            let ops = sp.Model.fresh () in
-            let u = Array.make sp.Model.state_dim 0.0 in
-            ops.Model.start u;
-            let starts, durations, currents = collect_intervals dv.cycle in
-            compiled.(i) <-
-              Carried { ops; u; starts; durations; currents; clock = 0.0 };
-            alive.(!nalive) <- i;
-            incr nalive;
-            Probe.bump_named probe "periodic/carried_devices" 1
-        | None, None ->
+        | None ->
             let outcome, fatal_sigma =
               reference_run ~max_cycles ~model:dv.model ~alpha:dv.alpha
                 ~period:dv.period dv.cycle
@@ -293,8 +233,6 @@ module Batch = struct
           let fatal =
             match compiled.(i) with
             | Channels d -> step_channels d ~alpha:alphas.(i) ~k:!k
-            | Carried c ->
-                step_carried c ~alpha:alphas.(i) ~k:!k ~period:periods.(i)
             | Resolved -> None (* never enters the alive set *)
           in
           match fatal with

@@ -12,12 +12,13 @@
     Lifetime estimation is O(cycles): models exposing a {!Model.decay}
     channel decomposition (ideal, Peukert, KiBaM, Rakhmatov–Vrudhula)
     telescope the repeated cycles into per-channel geometric series
-    advanced in O(1) per cycle with no [exp] on the per-cycle path;
-    stepper-only models (the diffusion PDE) carry one integration state
-    across the whole mission instead of re-integrating the history per
-    probe.  The original quadratic full-history path is retained as
-    {!cycles_to_death_reference} — the oracle the property tests check
-    the fast kernels against.  See DESIGN.md §15 for the derivations. *)
+    advanced in O(1) per cycle with no [exp] on the per-cycle path.
+    Models without a decay view (the diffusion PDE, a validation-only
+    model) take the original quadratic full-history path, which
+    materializes the growing history and probes it with the model's
+    own [sigma].  The test oracle for the channel kernel is that same
+    fallback, reached by stripping [decay] off an analytic model.  See
+    DESIGN.md §15 for the derivations. *)
 
 open Batsched_numeric
 
@@ -64,21 +65,11 @@ val cycles_to_death :
     returns the number of {e complete} cycles before sigma first
     reaches [alpha], probing sigma at every active-interval end (the
     intra-cycle maxima — sigma relaxes during idle).  Cost is
-    O(cycles) after an O(intervals^2 * channels) setup.
+    O(cycles) after an O(intervals^2 * channels) setup for models with
+    a decay view, O(cycles^2) history work otherwise.
     @raise Unsustainable if the first cycle already kills the battery.
     @raise Invalid_argument on a non-positive period, a cycle longer
     than the period, or non-positive [alpha]. *)
-
-val cycles_to_death_reference :
-  ?max_cycles:int -> model:Model.t -> alpha:float -> period:float ->
-  Profile.t -> outcome
-(** The original quadratic-cost estimator: materializes the growing
-    full history and probes it with the model's own [sigma].  Same
-    contract as {!cycles_to_death}; for decay-channel models the two
-    agree up to float accumulation noise, for stepper-only models they
-    are bit-identical (the carried state replays exactly the reference
-    integration's arithmetic).  Kept as the property-test oracle and
-    for models exposing neither [decay] nor [stepper]. *)
 
 (** Population endurance: many devices advanced one cycle per sweep. *)
 module Batch : sig
@@ -95,15 +86,15 @@ module Batch : sig
   (** [run ~n ~device] estimates the lifetime of devices
       [device 0 .. device (n-1)] — each with its own model, capacity,
       period and cycle — and returns one {!result} per device, in
-      device order.  Devices are compiled once (channel tables or a
-      carried stepper state), then the whole population advances one
-      cycle per sweep with dead devices compacted out, so total work is
-      the sum of lifetimes, not [n * max_cycles], and peak memory is
-      the compiled states — independent of the horizon.  [device] is
+      device order.  Devices are compiled once (channel tables), then
+      the whole population advances one cycle per sweep with dead
+      devices compacted out, so total work is the sum of lifetimes, not
+      [n * max_cycles], and peak memory is the compiled states —
+      independent of the horizon.  [device] is
       called exactly once per index, in order.  Scalar
       {!cycles_to_death} is [run ~n:1], so batch and scalar results
-      agree bit-for-bit by construction.  Models with neither [decay]
-      nor [stepper] fall back to the reference path at setup.
+      agree bit-for-bit by construction.  Models without [decay] are
+      resolved at setup on the quadratic full-history path.
       @raise Invalid_argument as {!cycles_to_death}, or on negative
       [n]. *)
 end

@@ -57,6 +57,5 @@ let model ?(exponent = 1.2) ?(reference_current = 100.0) () =
   { Model.name = "peukert";
     sigma = (fun p ~at -> sigma ~exponent ~reference_current p ~at);
     incremental = Some (incremental ~exponent ~reference_current);
-    stepper = None;
     batch = Some (batch ~exponent ~reference_current);
     decay = Some (decay ~exponent ~reference_current) }

@@ -23,9 +23,8 @@ let eps = 1e-9
    serial-time / energy totals and the current-increase count are
    maintained as O(1) deltas between consecutive column trials, and the
    scratch column array is patched and un-patched instead of re-blitted
-   per trial.  [calculate_dpf_reference_ctx] keeps the seed's per-trial
-   O(n) rescans verbatim as the oracle the property tests (and the
-   [choose-n64] bench pair) compare against. *)
+   per trial.  The seed's per-trial O(n) rescans live on as the test
+   oracle (test/oracle/choose.ml). *)
 type ctx = {
   n : int;
   m : int;
@@ -41,15 +40,8 @@ type ctx = {
   emax : float;
   imin : float;
   imax : float;
-  (* durations non-decreasing in column index for every task: the
-     precondition for the incremental upgrade walk (it makes the
-     feasibility predicate monotone in the step count).  Every paper
-     and generated instance satisfies it; when violated the choose
-     loop falls back to the reference trial path. *)
-  mono_dur : bool;
   (* scratch reused across the thousands of CalculateDPF calls *)
   scratch_cols : int array;
-  fixed_e : bool array;
   (* --- incremental per-position state (valid between [begin_pos] and
      the next [begin_pos]; one position in flight at a time) --- *)
   step_task : int array;      (* task upgraded at step s, s < nsteps *)
@@ -95,15 +87,6 @@ let make_ctx (cfg : Config.t) g ~seq ~window_start =
   let emin, emax = Analysis.energy_bounds g in
   let imin, imax = Analysis.current_range g in
   let dur = table (fun p -> p.Task.duration) in
-  let mono_dur =
-    let ok = ref true in
-    for i = 0 to n - 1 do
-      for j = 1 to m - 1 do
-        if dur.(i).(j) < dur.(i).(j - 1) then ok := false
-      done
-    done;
-    !ok
-  in
   let pos_of = Array.make n 0 in
   Array.iteri (fun pos t -> pos_of.(t) <- pos) seq;
   let max_steps = (n * (m - 1)) + 1 in
@@ -121,9 +104,7 @@ let make_ctx (cfg : Config.t) g ~seq ~window_start =
     emax;
     imin;
     imax;
-    mono_dur;
     scratch_cols = Array.make n 0;
-    fixed_e = Array.make n false;
     step_task = Array.make max_steps 0;
     cum_dt = Array.make max_steps 0.0;
     cum_de = Array.make max_steps 0.0;
@@ -142,108 +123,6 @@ let current_ratio ctx i =
   if ctx.imax -. ctx.imin <= 0.0 then 0.0
   else (i -. ctx.imin) /. (ctx.imax -. ctx.imin)
 
-(* Metrics.energy_ratio over the precomputed bounds; the total is the
-   same Kahan sum in task-id order as [Assignment.total_energy]. *)
-let energy_ratio ctx cols =
-  if ctx.emax -. ctx.emin <= 0.0 then 0.0
-  else
-    (Kahan.sum_fn ctx.n (fun i -> ctx.energy.(i).(cols.(i))) -. ctx.emin)
-    /. (ctx.emax -. ctx.emin)
-
-(* Metrics.current_increase_fraction over the full sequence. *)
-let increase_fraction ctx cols =
-  if ctx.n <= 1 then 0.0
-  else begin
-    let current v = ctx.cur.(v).(cols.(v)) in
-    let count = ref 0 in
-    let prev = ref (current ctx.seq.(0)) in
-    for pos = 1 to ctx.n - 1 do
-      let c = current ctx.seq.(pos) in
-      if c > !prev then incr count;
-      prev := c
-    done;
-    float_of_int !count /. float_of_int (ctx.n - 1)
-  end
-
-(* Metrics.dpf_static over the free prefix (positions < tagged_pos),
-   whose task order is exactly the seed's [free] list. *)
-let dpf_static ctx cols ~tagged_pos =
-  if ctx.window_start < 0 || ctx.window_start >= ctx.m then
-    invalid_arg "Metrics.dpf_static: window_start out of range";
-  if tagged_pos = 0 || ctx.window_start = ctx.m - 1 then 0.0
-  else begin
-    let span = float_of_int (ctx.m - 1 - ctx.window_start) in
-    let weight k =
-      if k < ctx.window_start then
-        invalid_arg "Metrics.dpf_static: free task assigned outside the window"
-      else float_of_int (ctx.m - 1 - k) /. span
-    in
-    Kahan.sum_fn tagged_pos (fun pos -> weight cols.(ctx.seq.(pos)))
-    /. float_of_int tagged_pos
-  end
-
-(* The paper's CalculateDPF, seed implementation: O(n) rescans per
-   trial.  [ctx.scratch_cols] must hold the tagged state on entry (free
-   prefix at lowest power, tagged task at its trial column, suffix
-   committed); it is mutated into the hypothetical completion.  Kept
-   verbatim as the oracle for the incremental path below.  Returns
-   (enr, cif, dpf). *)
-let calculate_dpf_reference_ctx ctx ~tagged_pos =
-  let d = ctx.deadline in
-  let cols = ctx.scratch_cols in
-  let fixed_e = ctx.fixed_e in
-  let probe = Probe.local () in
-  Array.fill fixed_e 0 ctx.n true;
-  for pos = 0 to tagged_pos - 1 do
-    fixed_e.(ctx.seq.(pos)) <- false
-  done;
-  let te = ref (Kahan.sum_fn ctx.n (fun i -> ctx.dur.(i).(cols.(i)))) in
-  let finish infeasible =
-    let enr = energy_ratio ctx cols in
-    let cif = increase_fraction ctx cols in
-    let dpf =
-      if infeasible then Float.infinity
-      else if tagged_pos = 0 then Metrics.slack_ratio ~deadline:d ~time:!te
-      else dpf_static ctx cols ~tagged_pos
-    in
-    (enr, cif, dpf)
-  in
-  (* First upgradable free task in increasing-average-energy order.
-     Tasks only ever get fixed, and columns only ever decrease, so the
-     first free candidate moves monotonically through [energy_order] —
-     the pointer [k] replaces the seed's scan-from-scratch without
-     changing which task each round picks. *)
-  let k = ref 0 in
-  let rec candidate () =
-    if !k >= ctx.n then None
-    else begin
-      let q = ctx.energy_order.(!k) in
-      if fixed_e.(q) then begin incr k; candidate () end
-      else if cols.(q) <= ctx.window_start then begin
-        (* already at the fastest allowed column: cannot upgrade *)
-        fixed_e.(q) <- true;
-        incr k;
-        candidate ()
-      end
-      else Some q
-    end
-  in
-  let rec upgrade () =
-    if !te <= d +. eps then finish false
-    else
-      match candidate () with
-      | None -> finish true
-      | Some q ->
-          probe.Probe.dpf_steps <- probe.Probe.dpf_steps + 1;
-          let col = cols.(q) in
-          let col' = col - 1 in
-          te := !te -. ctx.dur.(q).(col) +. ctx.dur.(q).(col');
-          cols.(q) <- col';
-          if col' = ctx.window_start then fixed_e.(q) <- true;
-          upgrade ()
-  in
-  upgrade ()
-
 (* --- incremental CalculateDPF ---
 
    For a fixed tagged position the trial loop sweeps the tagged task's
@@ -260,9 +139,10 @@ let calculate_dpf_reference_ctx ctx ~tagged_pos =
    because every step raises one free task's slowdown weight by exactly
    1/span.
 
-   The column sweep visits slower-to-faster trial columns, so with
-   monotone durations the required step count only ever decreases
-   within a position: the walk below is amortized O(1) per trial. *)
+   The column sweep visits slower-to-faster trial columns, and
+   [Task.make] sorts every task's points by ascending duration, so the
+   required step count only ever decreases within a position: the walk
+   below is amortized O(1) per trial. *)
 
 (* Patch one task's column in the live scratch state, keeping the
    current-increase count of the sequence exact.  Only the two pairs
@@ -319,7 +199,7 @@ let begin_pos ctx ~cols ~pos =
   ctx.inc_count <- !count;
   (* upgrade schedule: free tasks in increasing-average-energy order,
      each from the lowest-power column down to the window edge — the
-     exact visit order of the reference upgrade loop, flattened *)
+     exact visit order of the paper's upgrade loop, flattened *)
   let dt = ctx.acc and de = ctx.acc2 in
   kacc_clear dt;
   kacc_clear de;
@@ -394,39 +274,22 @@ let mk_result ctx (enr, cif, dpf) g =
     dpf;
     hypothetical = Assignment.of_list g (Array.to_list ctx.scratch_cols) }
 
-let calculate_dpf_reference (cfg : Config.t) g ~sequence ~assignment
-    ~tagged_pos ~window_start =
-  let ctx = make_ctx cfg g ~seq:sequence ~window_start in
-  List.iteri
-    (fun i col -> ctx.scratch_cols.(i) <- col)
-    (Assignment.to_list assignment);
-  mk_result ctx (calculate_dpf_reference_ctx ctx ~tagged_pos) g
-
 let calculate_dpf (cfg : Config.t) g ~sequence ~assignment ~tagged_pos
     ~window_start =
   let ctx = make_ctx cfg g ~seq:sequence ~window_start in
   let cols = Array.make ctx.n 0 in
   List.iteri (fun i col -> cols.(i) <- col) (Assignment.to_list assignment);
-  let parked_free =
-    let ok = ref true in
-    for pos = 0 to tagged_pos - 1 do
-      if cols.(ctx.seq.(pos)) <> ctx.m - 1 then ok := false
-    done;
-    !ok
-  in
-  if ctx.mono_dur && parked_free then begin
-    (* [begin_pos] expects the tagged task parked at lowest power;
-       [trial] then patches it to the actual tagged column. *)
-    let t = ctx.seq.(tagged_pos) in
-    let j = cols.(t) in
-    cols.(t) <- ctx.m - 1;
-    begin_pos ctx ~cols ~pos:tagged_pos;
-    mk_result ctx (trial ctx ~j) g
-  end
-  else begin
-    Array.blit cols 0 ctx.scratch_cols 0 ctx.n;
-    mk_result ctx (calculate_dpf_reference_ctx ctx ~tagged_pos) g
-  end
+  for pos = 0 to tagged_pos - 1 do
+    if cols.(ctx.seq.(pos)) <> ctx.m - 1 then
+      invalid_arg "Choose.calculate_dpf: free task not at the lowest-power column"
+  done;
+  (* [begin_pos] expects the tagged task parked at lowest power;
+     [trial] then patches it to the actual tagged column. *)
+  let t = ctx.seq.(tagged_pos) in
+  let j = cols.(t) in
+  cols.(t) <- ctx.m - 1;
+  begin_pos ctx ~cols ~pos:tagged_pos;
+  mk_result ctx (trial ctx ~j) g
 
 let suitability (cfg : Config.t) ~sr ~cr ~enr ~cif ~dpf =
   if dpf = Float.infinity then Float.infinity
@@ -438,7 +301,7 @@ let suitability (cfg : Config.t) ~sr ~cr ~enr ~cif ~dpf =
     +. (w.Config.dpf *. dpf)
   end
 
-let choose_impl ~incremental (cfg : Config.t) g ~sequence ~window_start =
+let choose_design_points (cfg : Config.t) g ~sequence ~window_start =
   let m = Graph.num_points g in
   if window_start < 0 || window_start >= m then
     invalid_arg "Choose.choose_design_points: window out of range";
@@ -466,9 +329,6 @@ let choose_impl ~incremental (cfg : Config.t) g ~sequence ~window_start =
   let n = ctx.n in
   let d = cfg.Config.deadline in
   let lowest = m - 1 in
-  (* The incremental walk needs monotone durations; fall back to the
-     reference trials (still hoisted-context) on exotic instances. *)
-  let use_incremental = incremental && ctx.mono_dur in
   (* Committed columns of the fixed suffix; free tasks read as lowest
      power, which is also their hypothetical parking column. *)
   let cols = Array.make n lowest in
@@ -496,19 +356,12 @@ let choose_impl ~incremental (cfg : Config.t) g ~sequence ~window_start =
   for pos = n - 2 downto 0 do
     let t = seq.(pos) in
     let best = ref None in
-    if use_incremental then begin_pos ctx ~cols ~pos;
+    begin_pos ctx ~cols ~pos;
     for j = lowest downto window_start do
       let ttemp = !tsum +. ctx.dur.(t).(j) in
       let sr = Metrics.slack_ratio ~deadline:d ~time:ttemp in
       let cr = current_ratio ctx ctx.cur.(t).(j) in
-      let enr, cif, dpf =
-        if use_incremental then trial ctx ~j
-        else begin
-          Array.blit cols 0 ctx.scratch_cols 0 n;
-          ctx.scratch_cols.(t) <- j;
-          calculate_dpf_reference_ctx ctx ~tagged_pos:pos
-        end
-      in
+      let enr, cif, dpf = trial ctx ~j in
       let b = suitability cfg ~sr ~cr ~enr ~cif ~dpf in
       match !best with
       | Some (_, best_b) when best_b <= b -> ()
@@ -522,8 +375,3 @@ let choose_impl ~incremental (cfg : Config.t) g ~sequence ~window_start =
   done;
   Assignment.of_list g (Array.to_list cols)
 
-let choose_design_points cfg g ~sequence ~window_start =
-  choose_impl ~incremental:true cfg g ~sequence ~window_start
-
-let choose_design_points_reference cfg g ~sequence ~window_start =
-  choose_impl ~incremental:false cfg g ~sequence ~window_start

@@ -14,11 +14,13 @@
     position incrementally: per-position prefix/suffix aggregates plus
     a precomputed upgrade schedule turn each trial into O(1) patches of
     a live scratch state instead of O(n) rescans (derivation in
-    DESIGN.md §9).  The seed per-trial implementation is retained as
-    {!calculate_dpf_reference} / {!choose_design_points_reference}; the
-    property tests pin selection identity on the published instances
-    and on random DAGs, and metric agreement to within 1e-9 (the only
-    deviation is compensated-summation rounding, a few ulps). *)
+    DESIGN.md §9).  The walk relies on every task's durations rising
+    with the column index, which {!Batsched_taskgraph.Task.make}
+    guarantees.  The seed per-trial implementation is the test oracle
+    (test/oracle/choose.ml); the property tests pin selection identity
+    on the published instances and on random DAGs, and metric
+    agreement to within 1e-9 (the only deviation is
+    compensated-summation rounding, a few ulps). *)
 
 open Batsched_taskgraph
 open Batsched_sched
@@ -45,16 +47,9 @@ val calculate_dpf :
     average-energy order, until the serial time meets the deadline;
     running out of upgrades yields [dpf = infinity].  When
     [tagged_pos = 0] (no free task remains) [dpf] is the slack ratio of
-    the complete assignment, per the pseudocode's last-task rule. *)
-
-val calculate_dpf_reference :
-  Config.t -> Graph.t -> sequence:int array -> assignment:Assignment.t ->
-  tagged_pos:int -> window_start:int -> dpf_result
-(** The seed implementation of {!calculate_dpf}, kept verbatim as the
-    oracle: per trial it rescans the whole sequence (O(n) sums) and
-    runs the upgrade loop from scratch.  Same contract as
-    {!calculate_dpf}; the hypothetical assignments are identical and
-    the metrics agree to within 1e-9 (compensated-rounding ulps). *)
+    the complete assignment, per the pseudocode's last-task rule.
+    @raise Invalid_argument if a free task is not at the lowest-power
+    column. *)
 
 val choose_design_points :
   Config.t -> Graph.t -> sequence:int list -> window_start:int ->
@@ -71,12 +66,3 @@ val choose_design_points :
     @raise Config.Deadline_unmeetable if no feasible choice exists for
     some task (cannot happen when [window_start] satisfies
     [Analysis.column_time g window_start <= deadline]). *)
-
-val choose_design_points_reference :
-  Config.t -> Graph.t -> sequence:int list -> window_start:int ->
-  Assignment.t
-(** {!choose_design_points} driven by the seed per-trial
-    {!calculate_dpf_reference} evaluation instead of the incremental
-    path.  Selects identical assignments (property-tested); exists as
-    the oracle for tests and as the before/after pair in the
-    [choose-n64] bench scenarios. *)

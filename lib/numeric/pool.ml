@@ -25,9 +25,7 @@
      re-raised in index order — which domain ran what never shows.
 
    The contract of [map_array]/[map_list] is unchanged from the
-   fork-join version (see the .mli); [map_array_strided] keeps the old
-   spawn-per-region path alive as a benchmark baseline and test
-   oracle. *)
+   fork-join version (see the .mli). *)
 
 type worker_stat = {
   items : int;
@@ -665,45 +663,3 @@ let submit pool fn =
       Fun.protect
         ~finally:(fun () -> Domain.DLS.set inside_region saved)
         (fun () -> try fn () with _ -> ())
-
-(* ------------------------------------------------------------------ *)
-(* Legacy fork-join path: spawn fresh domains per region and deal work
-   by static striding.  Kept verbatim as the published baseline the
-   work-stealing path is benchmarked against, and as an independent
-   oracle in the property tests. *)
-
-let map_array_strided pool f xs =
-  let n = Array.length xs in
-  let workers = Stdlib.min pool.requested n in
-  let probe = Probe.local () in
-  probe.Probe.pool_tasks <- probe.Probe.pool_tasks + n;
-  if workers <= 1 || Domain.DLS.get inside_region then Array.map f xs
-  else begin
-    probe.Probe.pool_regions <- probe.Probe.pool_regions + 1;
-    let results = Array.make n None in
-    let slice w () =
-      Domain.DLS.set inside_region true;
-      Domain.DLS.set current_worker w;
-      !worker_start w;
-      Fun.protect
-        ~finally:(fun () ->
-          Probe.drain_local ();
-          Domain.DLS.set current_worker 0;
-          !worker_finish w)
-        (fun () ->
-          let i = ref w in
-          while !i < n do
-            results.(!i) <- Some (try Ok (f xs.(!i)) with e -> Error e);
-            i := !i + workers
-          done)
-    in
-    let spawned =
-      List.init (workers - 1) (fun k -> Domain.spawn (slice (k + 1)))
-    in
-    let finally () =
-      List.iter Domain.join spawned;
-      Domain.DLS.set inside_region false
-    in
-    Fun.protect ~finally (slice 0);
-    Array.map unwrap results
-  end

@@ -69,12 +69,6 @@ val for_range : t -> n:int -> (int -> int -> unit) -> unit
     columns).  Sequential and nested calls run [f 0 n] inline.  If
     spans raise, the exception of the smallest [lo] is re-raised. *)
 
-val map_array_strided : t -> ('a -> 'b) -> 'a array -> 'b array
-(** The legacy fork-join path: fresh domains spawned per region, work
-    dealt by static striding (worker [w] takes indices [w],
-    [w + workers], ...).  Same results contract as {!map_array}; kept
-    as a benchmark baseline and test oracle. *)
-
 val submit : t -> (unit -> unit) -> unit
 (** [submit pool job] hands [job] to an idle worker and returns
     immediately; jobs run with region nesting in effect, so parallel

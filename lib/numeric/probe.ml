@@ -20,8 +20,6 @@ type t = {
   mutable batch_evals : int;
   mutable batch_candidates : int;
   mutable batch_fallbacks : int;
-  mutable delta_ck_advances : int;
-  mutable delta_ck_restores : int;
   mutable fcache_evictions : int;
   mutable pool_regions : int;
   mutable pool_tasks : int;
@@ -51,8 +49,6 @@ let zero () =
     batch_evals = 0;
     batch_candidates = 0;
     batch_fallbacks = 0;
-    delta_ck_advances = 0;
-    delta_ck_restores = 0;
     fcache_evictions = 0;
     pool_regions = 0;
     pool_tasks = 0;
@@ -101,8 +97,6 @@ let add ~into c =
   into.batch_evals <- into.batch_evals + c.batch_evals;
   into.batch_candidates <- into.batch_candidates + c.batch_candidates;
   into.batch_fallbacks <- into.batch_fallbacks + c.batch_fallbacks;
-  into.delta_ck_advances <- into.delta_ck_advances + c.delta_ck_advances;
-  into.delta_ck_restores <- into.delta_ck_restores + c.delta_ck_restores;
   into.fcache_evictions <- into.fcache_evictions + c.fcache_evictions;
   into.pool_regions <- into.pool_regions + c.pool_regions;
   into.pool_tasks <- into.pool_tasks + c.pool_tasks;
@@ -131,8 +125,6 @@ let clear c =
   c.batch_evals <- 0;
   c.batch_candidates <- 0;
   c.batch_fallbacks <- 0;
-  c.delta_ck_advances <- 0;
-  c.delta_ck_restores <- 0;
   c.fcache_evictions <- 0;
   c.pool_regions <- 0;
   c.pool_tasks <- 0;
@@ -161,8 +153,6 @@ let fields =
     ("batch_evals", fun c -> c.batch_evals);
     ("batch_candidates", fun c -> c.batch_candidates);
     ("batch_fallbacks", fun c -> c.batch_fallbacks);
-    ("delta_ck_advances", fun c -> c.delta_ck_advances);
-    ("delta_ck_restores", fun c -> c.delta_ck_restores);
     ("fcache_evictions", fun c -> c.fcache_evictions);
     ("pool_regions", fun c -> c.pool_regions);
     ("pool_tasks", fun c -> c.pool_tasks);

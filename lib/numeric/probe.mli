@@ -8,10 +8,14 @@
 
     {2 Merging and determinism}
 
-    Worker domains are short-lived ({!Pool} spawns them per region), so
-    each worker {!drain_local}s its record into a global accumulator
-    just before it exits.  Integer addition commutes: the merged totals
-    are independent of worker scheduling and join order.  The pure work
+    {!Pool} keeps long-lived worker domains, so a worker
+    {!drain_local}s its record into a global accumulator each time it
+    checks out of a parallel region or finishes a submitted job (and
+    once more when the pool shuts down); the calling domain drains at
+    every region join too.  A region's counts are therefore complete in
+    {!totals} as soon as the region returns.  Integer addition
+    commutes: the merged totals are independent of worker scheduling
+    and join order.  The pure work
     counters ([sigma_evals], [dpf_steps], [window_evals], ...) and the
     top-level contribution {e lookup} count (hits + misses) are
     invariant across pool sizes; the hit/miss splits vary with cache
@@ -45,8 +49,6 @@ type t = {
   mutable batch_evals : int;      (** [Sigma_batch] population sweeps *)
   mutable batch_candidates : int; (** candidate schedules batch-evaluated *)
   mutable batch_fallbacks : int;  (** batch candidates costed without a kernel *)
-  mutable delta_ck_advances : int;(** checkpointed-stepper intervals integrated *)
-  mutable delta_ck_restores : int;(** checkpoint restores in the delta evaluator *)
   mutable fcache_evictions : int; (** Fcache generation flips (half-table expiries) *)
   mutable pool_regions : int;     (** parallel regions actually fanned out *)
   mutable pool_tasks : int;       (** items mapped through [Pool.map_array] *)

@@ -80,7 +80,15 @@ let of_json line =
                           t0 = num "t0";
                           samples = Option.map int_of_float (num "samples") }
                       in
-                      if search.starts < 1 then Error "starts must be >= 1"
+                      let positive = function
+                        | Some x -> Float.is_finite x && x > 0.0
+                        | None -> true
+                      in
+                      if not (positive (Some search.beta)) then
+                        Error "beta must be positive and finite"
+                      else if not (positive search.t0) then
+                        Error "t0 must be positive and finite"
+                      else if search.starts < 1 then Error "starts must be >= 1"
                       else if
                         match search.steps with Some s -> s < 1 | None -> false
                       then Error "steps must be >= 1"

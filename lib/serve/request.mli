@@ -41,6 +41,7 @@ val model : search -> Model.t
 
 val of_json : string -> (incoming, string) result
 (** Parse and validate one request line.  A request that parses always
-    runs: unknown algos/models, non-positive deadlines and malformed
-    graphs are rejected here with a message suitable for an error
-    response. *)
+    runs: unknown algos/models, non-positive deadlines, a [beta] or
+    [t0] that is not positive and finite, knob counts below 1 and
+    malformed graphs are rejected here with a message suitable for an
+    error response. *)

@@ -464,8 +464,8 @@ let test_periodic_interp_curve () =
 
 let test_periodic_fast_path_engages () =
   (* the scalar estimator must route decay models through the channel
-     kernel and stepper models through the carried state, not fall back
-     to the quadratic reference *)
+     kernel; the PDE, which has no decay view, takes the counted
+     quadratic reference fallback *)
   let cycle = Profile.constant ~current:100.0 ~duration:10.0 in
   let named c name =
     match List.assoc_opt name (Batsched_numeric.Probe.named_counts c) with
@@ -481,9 +481,7 @@ let test_periodic_fast_path_engages () =
   let c1 = Batsched_numeric.Probe.totals () in
   Alcotest.(check int) "channel device" 1
     (named c1 "periodic/channel_devices" - named c0 "periodic/channel_devices");
-  Alcotest.(check int) "carried device" 1
-    (named c1 "periodic/carried_devices" - named c0 "periodic/carried_devices");
-  Alcotest.(check int) "no reference fallback" 0
+  Alcotest.(check int) "pde on the reference fallback" 1
     (named c1 "periodic/reference_devices"
     - named c0 "periodic/reference_devices")
 
@@ -645,7 +643,7 @@ let prop_sigma_matches_reference =
       List.for_all
         (fun at ->
           let fast = Rakhmatov.sigma p ~at in
-          let slow = Rakhmatov.sigma_reference p ~at in
+          let slow = Batsched_oracle.Rakhmatov.sigma p ~at in
           Float.abs (fast -. slow) <= 1e-9 *. (1.0 +. Float.abs slow))
         ats)
 
@@ -658,8 +656,8 @@ let prop_sigma_matches_reference_with_gaps =
       let p = Profile.sequential loads in
       let q = Profile.with_idle p ~after:(frac *. Profile.length p) ~idle in
       let at = Profile.length q in
-      Float.abs (Rakhmatov.sigma q ~at -. Rakhmatov.sigma_reference q ~at)
-      <= 1e-9 *. (1.0 +. Rakhmatov.sigma_reference q ~at))
+      let slow = Batsched_oracle.Rakhmatov.sigma q ~at in
+      Float.abs (Rakhmatov.sigma q ~at -. slow) <= 1e-9 *. (1.0 +. slow))
 
 (* --- Periodic fast kernel vs quadratic oracle --- *)
 
@@ -713,12 +711,12 @@ let prop_periodic_matches_oracle ?(count = 40) ?(max_cycles = 25) name model =
           cycle
       in
       let lo =
-        endured Periodic.cycles_to_death_reference ~max_cycles ~model
+        endured Batsched_oracle.Periodic.cycles_to_death ~max_cycles ~model
           ~alpha:(alpha *. (1.0 -. 1e-6))
           ~period cycle
       in
       let hi =
-        endured Periodic.cycles_to_death_reference ~max_cycles ~model
+        endured Batsched_oracle.Periodic.cycles_to_death ~max_cycles ~model
           ~alpha:(alpha *. (1.0 +. 1e-6))
           ~period cycle
       in
@@ -736,36 +734,14 @@ let prop_periodic_oracle_rakhmatov =
 let prop_periodic_oracle_kibam =
   prop_periodic_matches_oracle ~count:40 "kibam" (Kibam.model ())
 
-(* The carried-stepper path replays the oracle's arithmetic exactly
-   (same run_to targets, same spans), so for the PDE the two paths are
-   bit-identical — no bracket needed. *)
-let prop_periodic_oracle_diffusion_exact =
-  let params = Diffusion.make_params ~nodes:8 ~dt:1.0 ~alpha:1.0 ~beta:0.273 () in
-  QCheck.Test.make ~count:15
-    ~name:"periodic carried stepper is bit-identical to oracle (diffusion)"
-    gen_mission
-    (fun draw ->
-      let cycle, period, alpha = mission_of draw in
-      let params = { params with Diffusion.alpha } in
-      let model = Diffusion.model ~params () in
-      let run f =
-        match f ?max_cycles:(Some 10) ~model ~alpha ~period cycle with
-        | o -> (Periodic.cycles o, Float.nan)
-        | exception Periodic.Unsustainable s -> (0, s)
-      in
-      let fast, fs = run Periodic.cycles_to_death in
-      let slow, ss = run Periodic.cycles_to_death_reference in
-      fast = slow
-      && Int64.equal (Int64.bits_of_float fs) (Int64.bits_of_float ss))
-
 let test_sigma_reference_single_interval () =
   let p = Profile.constant ~current:500.0 ~duration:10.0 in
   (* a = 0 edge: observation instant coincides with the interval end *)
   check_float "at end"
-    (Rakhmatov.sigma_reference p ~at:10.0)
+    (Batsched_oracle.Rakhmatov.sigma p ~at:10.0)
     (Rakhmatov.sigma p ~at:10.0);
   check_float "mid-interval clip"
-    (Rakhmatov.sigma_reference p ~at:4.0)
+    (Batsched_oracle.Rakhmatov.sigma p ~at:4.0)
     (Rakhmatov.sigma p ~at:4.0);
   check_float "empty prefix" 0.0 (Rakhmatov.sigma p ~at:0.0)
 
@@ -947,16 +923,15 @@ let test_delta_of_profile_rejects_gaps () =
   check_against_full rv (Delta.of_profile rv ok) base_points
 
 let test_delta_fallback_counts_full_evals () =
-  (* a deliberately opaque model — no incremental terms, no stepper, no
-     batch kernel — forces the counted full-profile fallback; the probe
-     books each one both in the flat field and under the model's name
-     in the open-keyed counters (kibam itself no longer falls back: it
-     has a closed-form incremental decomposition) *)
+  (* a deliberately opaque model — no incremental terms, no batch
+     kernel, no decay view — forces the counted full-profile fallback;
+     the probe books each one both in the flat field and under the
+     model's name in the open-keyed counters (kibam itself no longer
+     falls back: it has a closed-form incremental decomposition) *)
   let model =
     { Model.name = "opaque";
       sigma = (fun p ~at -> Kibam.sigma p ~at);
       incremental = None;
-      stepper = None;
       batch = None;
       decay = None }
   in
@@ -997,16 +972,22 @@ let test_delta_kibam_incremental_no_fallback () =
     (Probe.totals ()).Probe.delta_full_evals
 
 let coarse_diffusion =
-  (* 8 nodes, 1-minute steps: the checkpointing logic under test is
+  (* 8 nodes, 1-minute steps: the fallback logic under test is
      grid-independent, and the default grid would dominate test time *)
   Diffusion.model
     ~params:(Diffusion.make_params ~nodes:8 ~dt:1.0 ~alpha:40375.0 ~beta:0.273 ())
     ()
 
-let test_delta_checkpoint_counters () =
-  (* a stepper-only model goes through the checkpoint path: candidates
-     restore a snapshot and re-advance the suffix, and commits
-     invalidate downstream snapshots — all visible in the probe *)
+let test_delta_pde_full_eval_fallback () =
+  (* the PDE ships no incremental terms: every candidate takes the
+     generic full-profile fallback, booked under the model's name *)
+  let named c =
+    match
+      List.assoc_opt "delta_full_evals/diffusion-pde" (Probe.named_counts c)
+    with
+    | Some v -> v
+    | None -> 0
+  in
   let c0 = Probe.totals () in
   let points = List.init 16 (fun i -> (100.0 +. (10.0 *. float_of_int i), 1.5)) in
   let d = delta_of coarse_diffusion points in
@@ -1016,12 +997,9 @@ let test_delta_checkpoint_counters () =
   Delta.commit d;
   check_against_full coarse_diffusion d (swap_list points 9);
   let c1 = Probe.totals () in
-  Alcotest.(check bool) "restores counted" true
-    (c1.Probe.delta_ck_restores > c0.Probe.delta_ck_restores);
-  Alcotest.(check bool) "advances counted" true
-    (c1.Probe.delta_ck_advances > c0.Probe.delta_ck_advances);
-  Alcotest.(check int) "no uncounted fallback" c0.Probe.delta_full_evals
-    c1.Probe.delta_full_evals
+  (* one evaluation at load, one per candidate *)
+  Alcotest.(check int) "full evals attributed to the pde" 3
+    (named c1 - named c0)
 
 let test_delta_swap_term_evals_constant () =
   (* the headline O(1) claim: a swap costs at most 2 term evaluations
@@ -1087,7 +1065,7 @@ let delta_tests =
     Alcotest.test_case "of_profile rejects gaps" `Quick test_delta_of_profile_rejects_gaps;
     Alcotest.test_case "fallback counts full evals" `Quick test_delta_fallback_counts_full_evals;
     Alcotest.test_case "kibam incremental, no fallback" `Quick test_delta_kibam_incremental_no_fallback;
-    Alcotest.test_case "checkpoint counters" `Quick test_delta_checkpoint_counters;
+    Alcotest.test_case "pde full-eval fallback" `Quick test_delta_pde_full_eval_fallback;
     Alcotest.test_case "O(1) swap term evals" `Quick test_delta_swap_term_evals_constant;
     Alcotest.test_case "suffix cache across makespans" `Quick test_delta_suffix_cache_across_makespans;
     Alcotest.test_case "refresh after many commits" `Quick test_delta_refresh_noop ]
@@ -1169,7 +1147,7 @@ let sigma_batch_tests =
 (* Random interval lists driven through random move traces: committed
    sigma/finish track the full evaluation of the mirrored list.  One
    instance per delta strategy — incremental terms (Rakhmatov, KiBaM)
-   and the checkpointed stepper (diffusion). *)
+   and the full-eval fallback (diffusion). *)
 let prop_delta_traces ~count ~name model =
   QCheck.Test.make ~count ~name
     QCheck.(pair (int_bound 100_000) (int_range 1 12))
@@ -1223,7 +1201,7 @@ let prop_delta_traces_kibam =
 
 let prop_delta_traces_diffusion =
   prop_delta_traces ~count:500
-    ~name:"diffusion delta traces match full eval (checkpointed)"
+    ~name:"diffusion delta traces match full eval (fallback)"
     coarse_diffusion
 
 (* Sigma_batch agrees with per-row sequential evaluation for every
@@ -1288,8 +1266,7 @@ let qcheck_tests =
       prop_periodic_oracle_ideal;
       prop_periodic_oracle_peukert;
       prop_periodic_oracle_rakhmatov;
-      prop_periodic_oracle_kibam;
-      prop_periodic_oracle_diffusion_exact ]
+      prop_periodic_oracle_kibam ]
 
 let () =
   Alcotest.run "battery"

@@ -215,6 +215,21 @@ let test_calculate_dpf_last_task_slack_rule () =
   let te = Assignment.total_time g a in
   check_close 1e-9 "slack rule" ((d -. te) /. d) r.Batsched.Choose.dpf
 
+let test_calculate_dpf_rejects_unparked_prefix () =
+  (* the documented precondition: every free task (positions before
+     the tagged one) sits at the lowest-power column *)
+  let g = diamond () in
+  let cfg = Batsched.Config.make ~deadline:30.0 () in
+  let seq = [| 0; 1; 2; 3 |] in
+  let a = Assignment.set (Assignment.all_lowest_power g) 1 0 in
+  Alcotest.check_raises "unparked free task"
+    (Invalid_argument
+       "Choose.calculate_dpf: free task not at the lowest-power column")
+    (fun () ->
+      ignore
+        (Batsched.Choose.calculate_dpf cfg g ~sequence:seq ~assignment:a
+           ~tagged_pos:2 ~window_start:0))
+
 (* --- Iterate on the published instances --- *)
 
 let test_iterate_g3_shape () =
@@ -418,9 +433,9 @@ let test_polish_validation () =
     (fun () ->
       ignore (Batsched.Polish.two_swap ~max_rounds:0 cfg g r.Batsched.Iterate.schedule))
 
-(* Delta vs reference evaluation, at pool 1 and pool 4: same schedule
-   out (the 1e-9 improvement margin absorbs the paths' round-off
-   difference), same sigma from the full model. *)
+(* Delta evaluation vs the full-evaluation oracle, at pool 1 and
+   pool 4: same schedule out (the 1e-9 improvement margin absorbs the
+   paths' round-off difference), same sigma from the full model. *)
 let test_polish_delta_matches_reference () =
   List.iter
     (fun pool ->
@@ -428,8 +443,8 @@ let test_polish_delta_matches_reference () =
         (fun (g, deadline) ->
           let cfg = Batsched.Config.make ?pool ~deadline () in
           let r = Batsched.Iterate.run cfg g in
-          let run eval = Batsched.Polish.polish ~eval cfg g r in
-          let a = run `Delta and b = run `Reference in
+          let a = Batsched.Polish.polish cfg g r
+          and b = Batsched_oracle.Polish.polish cfg g r in
           Alcotest.(check (list int)) "sequence"
             b.Batsched.Iterate.schedule.Schedule.sequence
             a.Batsched.Iterate.schedule.Schedule.sequence;
@@ -658,7 +673,7 @@ let prop_choose_within_window =
         (fun i -> Assignment.column a i >= ws)
         (List.init (Graph.num_tasks g) Fun.id))
 
-(* --- incremental CalculateDPF vs the seed reference --- *)
+(* --- incremental CalculateDPF vs the seed oracle --- *)
 
 let test_choose_incremental_matches_reference_instances () =
   (* selection identity on every published instance, every published
@@ -676,7 +691,7 @@ let test_choose_incremental_matches_reference_instances () =
                 ~window_start:ws
             in
             let b =
-              Batsched.Choose.choose_design_points_reference cfg g
+              Batsched_oracle.Choose.choose_design_points cfg g
                 ~sequence:seq ~window_start:ws
             in
             Alcotest.(check (list int))
@@ -699,7 +714,7 @@ let prop_choose_incremental_matches_reference =
           Assignment.equal
             (Batsched.Choose.choose_design_points cfg g ~sequence:seq
                ~window_start:ws)
-            (Batsched.Choose.choose_design_points_reference cfg g
+            (Batsched_oracle.Choose.choose_design_points cfg g
                ~sequence:seq ~window_start:ws))
         (List.init (top + 1) Fun.id))
 
@@ -739,7 +754,7 @@ let prop_calculate_dpf_metrics_match =
               ~tagged_pos ~window_start:ws
           in
           let r' =
-            Batsched.Choose.calculate_dpf_reference cfg g ~sequence:seq
+            Batsched_oracle.Choose.calculate_dpf cfg g ~sequence:seq
               ~assignment:a ~tagged_pos ~window_start:ws
           in
           close r.Batsched.Choose.dpf r'.Batsched.Choose.dpf
@@ -849,7 +864,8 @@ let () =
           Alcotest.test_case "dpf feasible state" `Quick test_calculate_dpf_feasible_state;
           Alcotest.test_case "dpf upgrades low energy first" `Quick test_calculate_dpf_upgrades_low_energy_first;
           Alcotest.test_case "dpf infeasible infinite" `Quick test_calculate_dpf_infeasible_is_infinite;
-          Alcotest.test_case "dpf last-task slack rule" `Quick test_calculate_dpf_last_task_slack_rule ] );
+          Alcotest.test_case "dpf last-task slack rule" `Quick test_calculate_dpf_last_task_slack_rule;
+          Alcotest.test_case "dpf rejects unparked prefix" `Quick test_calculate_dpf_rejects_unparked_prefix ] );
       ( "iterate",
         [ Alcotest.test_case "G3 shape" `Quick test_iterate_g3_shape;
           Alcotest.test_case "G3 beats first iteration" `Quick test_iterate_g3_beats_first_iteration;

@@ -598,24 +598,21 @@ let prop_pool_map_matches_sequential =
       Pool.map_list (prop_pool_of_size size) (fun x -> x * 3) xs
       = List.map (fun x -> x * 3) xs)
 
-(* The three execution strategies — inline, persistent work-stealing,
-   legacy fork-join striding — must be indistinguishable from results
-   alone, at every pool size. *)
+(* Work-stealing and inline execution must be indistinguishable from
+   results alone, at every pool size. *)
 let prop_pool_steal_matches_oracles =
   QCheck.Test.make ~count:30
-    ~name:"work-stealing map = sequential map = strided map"
+    ~name:"work-stealing map = sequential map = Array.map"
     QCheck.(pair pool_size_gen (list_of_size Gen.(int_range 0 80) small_int))
     (fun (size, xs) ->
       let pool = prop_pool_of_size size in
       let f x = Series.exp_sum ~beta:0.273 (float_of_int (abs x mod 50)) in
       let xs = Array.of_list xs in
       let seq = Array.map f xs in
-      Pool.map_array pool f xs = seq
-      && Pool.map_array_strided pool f xs = seq)
+      Pool.map_array pool f xs = seq)
 
 (* If several items raise, the re-raised exception must be the one a
-   sequential left-to-right scan would surface first — for the
-   work-stealing path and the strided oracle alike. *)
+   sequential left-to-right scan would surface first. *)
 let prop_pool_first_exception_identity =
   QCheck.Test.make ~count:30 ~name:"first-exception identity under parallelism"
     QCheck.(
@@ -632,8 +629,7 @@ let prop_pool_first_exception_identity =
         | exception Failure msg -> Some msg
       in
       let seq = outcome (fun () -> Array.map f xs) in
-      outcome (fun () -> Pool.map_array pool f xs) = seq
-      && outcome (fun () -> Pool.map_array_strided pool f xs) = seq)
+      outcome (fun () -> Pool.map_array pool f xs) = seq)
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest

@@ -67,6 +67,27 @@ let test_parse_rejects () =
     (Printf.sprintf "{\"id\":\"r1\",\"deadline\":0.0,\"graph\":\"%s\"}"
        (Batsched_obs.Json.escape_string graph_src))
 
+(* Search parameters that would only fail inside the search are
+   rejected at parse time, with the field named in the error. *)
+let expect_message name want line =
+  match Request.of_json line with
+  | Error msg -> Alcotest.(check string) name want msg
+  | Ok _ -> Alcotest.fail (name ^ ": expected a parse error")
+
+let test_parse_rejects_beta () =
+  List.iter
+    (fun v ->
+      expect_message ("beta " ^ v) "beta must be positive and finite"
+        (request_line ~extra:(",\"beta\":" ^ v) ()))
+    [ "-1"; "0"; "1e400" ]
+
+let test_parse_rejects_t0 () =
+  List.iter
+    (fun v ->
+      expect_message ("t0 " ^ v) "t0 must be positive and finite"
+        (request_line ~extra:(",\"t0\":" ^ v) ()))
+    [ "-5"; "0"; "1e400" ]
+
 (* --- daemon end-to-end --- *)
 
 let with_daemon ?(capacity = 64) ?(pool_size = 4) ?(events = Events.noop)
@@ -204,7 +225,9 @@ let () =
     [ ( "request",
         [ Alcotest.test_case "parse submit" `Quick test_parse_submit;
           Alcotest.test_case "parse cancel" `Quick test_parse_cancel;
-          Alcotest.test_case "rejects" `Quick test_parse_rejects ] );
+          Alcotest.test_case "rejects" `Quick test_parse_rejects;
+          Alcotest.test_case "rejects bad beta" `Quick test_parse_rejects_beta;
+          Alcotest.test_case "rejects bad t0" `Quick test_parse_rejects_t0 ] );
       ( "daemon",
         [ Alcotest.test_case "mixed batch" `Quick test_daemon_mixed_batch;
           Alcotest.test_case "bit-identical to single-shot" `Quick

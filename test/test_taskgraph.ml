@@ -678,6 +678,35 @@ let prop_tgff_fuzz_no_crash =
       | exception Tgff.Parse_error _ -> true
       | exception _ -> false)
 
+(* The invariant Choose's incremental walk rests on: whatever order the
+   points arrive in, a task's durations rise with the column index. *)
+let prop_task_make_sorts_durations =
+  QCheck.Test.make ~count:200
+    ~name:"task make sorts shuffled points by duration"
+    QCheck.(pair (list_of_size Gen.(int_range 1 6) (float_range 0.1 50.0)) int)
+    (fun (durations, seed) ->
+      (* currents fall as durations rise: a valid trade-off curve *)
+      let points =
+        List.map
+          (fun duration ->
+            { Task.current = 1000.0 /. duration; duration; voltage = 1.0 })
+          durations
+      in
+      let shuffled =
+        let st = Random.State.make [| seed |] in
+        List.map snd
+          (List.sort compare
+             (List.map (fun p -> (Random.State.bits st, p)) points))
+      in
+      let t = Task.make ~id:0 ~name:"T" shuffled in
+      let rec rising j =
+        j >= Task.num_points t
+        || ((Task.point t j).Task.duration
+            >= (Task.point t (j - 1)).Task.duration
+           && rising (j + 1))
+      in
+      rising 1)
+
 let prop_merge_preserves_charge =
   QCheck.Test.make ~count:100 ~name:"chain merging preserves per-column charge"
     gen_graph (fun g ->
@@ -702,7 +731,8 @@ let qcheck_tests =
       prop_column_times_monotone;
       prop_textio_fuzz_no_crash;
       prop_tgff_fuzz_no_crash;
-      prop_merge_preserves_charge ]
+      prop_merge_preserves_charge;
+      prop_task_make_sorts_durations ]
 
 let () =
   Alcotest.run "taskgraph"
