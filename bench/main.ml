@@ -298,6 +298,26 @@ let scenario_choose =
     ("anneal-n64-kibam-delta/short-walk", anneal kibam);
     ("anneal-n64-kibam-reference/short-walk", anneal_reference kibam) ]
 
+(* The Eq. 4 list scheduler against its per-step oracle
+   (Batsched_oracle) on one seeded 256-task random DAG at the
+   dag-scale density (edge probability 4/n) with a fixed assignment:
+   same graph, same weights, same sequence — the row ratio is what
+   weighing each task once per call buys. *)
+let scenario_priorities =
+  let n = 256 in
+  let g =
+    let rng = Batsched_numeric.Rng.create 42 in
+    Batsched_taskgraph.Generators.random_dag ~rng
+      ~spec:Batsched_taskgraph.Generators.default_spec ~n
+      ~edge_prob:(4.0 /. float_of_int n)
+  in
+  let m = Batsched_taskgraph.Graph.num_points g in
+  let a = Batsched_sched.Assignment.of_list g (List.init n (fun i -> i mod m)) in
+  [ ("priorities-n256/weighted-sequence",
+     fun () -> ignore (Batsched_sched.Priorities.weighted_sequence g a));
+    ("priorities-n256-reference/weighted-sequence",
+     fun () -> ignore (Batsched_oracle.Priorities.weighted_sequence g a)) ]
+
 (* Fork-join with static striding: [k] fresh domains per call (the
    caller is worker 0), worker [w] taking indices [w], [w + k], ...
    Each spawned worker banks its probe counters before it exits. *)
@@ -399,7 +419,7 @@ let scenario_fleet =
 
 let scenarios =
   scenario_kernels @ scenario_artifacts @ scenario_scaling @ scenario_choose
-  @ scenario_serve @ scenario_fleet
+  @ scenario_priorities @ scenario_serve @ scenario_fleet
 
 (* --- smoke: run every scenario exactly once --- *)
 

@@ -97,20 +97,19 @@ let list_schedule g ~pes ~assignment ~priority =
   let scheduled = Array.make n false in
   let pe_free = Array.make num_pes 0.0 in
   let placements = Array.make n { pe = 0; column = 0; start = 0.0 } in
+  let priorities = Array.init n priority in
   for _ = 1 to n do
     (* highest-priority ready task; ties to the smaller id *)
-    let best = ref None in
+    let best = ref (-1) in
     for v = 0 to n - 1 do
-      if (not scheduled.(v)) && remaining.(v) = 0 then begin
-        let w = priority v in
-        match !best with
-        | Some (_, bw) when bw >= w -> ()
-        | _ -> best := Some (v, w)
-      end
+      if
+        (not scheduled.(v)) && remaining.(v) = 0
+        && (!best < 0 || not (priorities.(!best) >= priorities.(v)))
+      then best := v
     done;
     match !best with
-    | None -> invalid_arg "Mschedule.list_schedule: cyclic graph?"
-    | Some (v, _) ->
+    | -1 -> invalid_arg "Mschedule.list_schedule: cyclic graph?"
+    | v ->
         let j = Assignment.column assignment v in
         let base = (Task.point (Graph.task g v) j).Task.duration in
         let ready =

@@ -2,7 +2,12 @@
 
     All are instances of the list-scheduling skeleton
     {!Batsched_taskgraph.Analysis.list_schedule}: among ready tasks the
-    largest weight goes first. *)
+    largest weight goes first.  Each task is weighed once per call, so
+    with [n] tasks and [e] edges a call costs O(n{^2}) for the
+    list-scheduling scan plus, for [sequence_dec_energy], O(n m) for
+    the average energies ([m] design points), and for
+    [weighted_sequence] and [greedy_mean_current] O(n (n + e)) for the
+    subgraph sums (one DFS and one id-ordered pass per task). *)
 
 open Batsched_taskgraph
 

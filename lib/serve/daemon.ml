@@ -22,13 +22,16 @@ type t = {
   events : Events.t;
   capacity : int;
   stream_search : bool;
-  inflight : int Atomic.t;
-  (* [mu] guards the token table, the outcome counters and the local
-     histograms; requests complete at most a few thousand times per
-     second, so one lock is fine. *)
+  (* [mu] guards the in-flight count, the id tables, the outcome
+     counters and the local histograms; requests complete at most a few
+     thousand times per second, so one lock is fine. *)
   mu : Mutex.t;
+  mutable inflight : int;  (* admitted requests not yet finished *)
   cv : Condition.t;  (* signalled as requests finish; [drain] waits here *)
-  tokens : (string, bool Atomic.t) Hashtbl.t;
+  running : (string, bool Atomic.t) Hashtbl.t;
+      (* cancel token of each admitted, unfinished request, by id *)
+  early_cancels : (string, unit) Hashtbl.t;
+      (* cancels that arrived for an id not in flight *)
   mutable n_accepted : int;
   mutable n_completed : int;
   mutable n_cancelled : int;
@@ -44,10 +47,11 @@ let create ?(capacity = 64) ?(stream_search = true) ~pool ~events () =
     events;
     capacity;
     stream_search;
-    inflight = Atomic.make 0;
     mu = Mutex.create ();
+    inflight = 0;
     cv = Condition.create ();
-    tokens = Hashtbl.create 64;
+    running = Hashtbl.create 64;
+    early_cancels = Hashtbl.create 8;
     n_accepted = 0;
     n_completed = 0;
     n_cancelled = 0;
@@ -140,11 +144,11 @@ let render_solution g (sol : Solution.t) =
   in
   (String.concat " " names, String.concat " " points)
 
-let finish d token_id f =
+let finish d id f =
   Mutex.lock d.mu;
   f d;
-  Hashtbl.remove d.tokens token_id;
-  ignore (Atomic.fetch_and_add d.inflight (-1));
+  Hashtbl.remove d.running id;
+  d.inflight <- d.inflight - 1;
   Condition.broadcast d.cv;
   Mutex.unlock d.mu
 
@@ -192,50 +196,59 @@ let run_request d (req : Request.t) token ~arrival =
 let submit d (req : Request.t) =
   (* bounded admission: the daemon never holds more than [capacity]
      requests queued-or-running; overflow is refused immediately so
-     the producer sees backpressure instead of unbounded latency *)
-  let before = Atomic.fetch_and_add d.inflight 1 in
-  if before >= d.capacity then begin
-    ignore (Atomic.fetch_and_add d.inflight (-1));
-    Mutex.lock d.mu;
-    d.n_rejected <- d.n_rejected + 1;
-    Mutex.unlock d.mu;
-    Events.emit d.events "overloaded"
-      [ ("req", Events.S req.id); ("capacity", Events.I d.capacity) ];
-    `Rejected
-  end
-  else begin
-    let token =
-      Mutex.lock d.mu;
+     the producer sees backpressure instead of unbounded latency.  An
+     id still in flight is refused too: it would share the running
+     request's cancel token. *)
+  Mutex.lock d.mu;
+  let admission =
+    if Hashtbl.mem d.running req.id then begin
+      d.n_errors <- d.n_errors + 1;
+      `Duplicate
+    end
+    else if d.inflight >= d.capacity then begin
+      d.n_rejected <- d.n_rejected + 1;
+      `Overloaded
+    end
+    else begin
+      let before = d.inflight in
+      d.inflight <- before + 1;
       d.n_accepted <- d.n_accepted + 1;
-      let tok =
-        match Hashtbl.find_opt d.tokens req.id with
-        | Some tok -> tok (* a cancel already arrived for this id *)
-        | None ->
-            let tok = Atomic.make false in
-            Hashtbl.add d.tokens req.id tok;
-            tok
-      in
-      Mutex.unlock d.mu;
-      tok
-    in
-    Events.emit d.events "accepted"
-      [ ("req", Events.S req.id);
-        ("algo", Events.S req.search.algo);
-        ("queued", Events.I before) ];
-    let arrival = now () in
-    Pool.submit d.pool (fun () -> run_request d req token ~arrival);
-    `Accepted
-  end
+      (* a cancel that arrived before this submit fires on entry *)
+      let token = Atomic.make (Hashtbl.mem d.early_cancels req.id) in
+      Hashtbl.remove d.early_cancels req.id;
+      Hashtbl.add d.running req.id token;
+      `Admitted (before, token)
+    end
+  in
+  Mutex.unlock d.mu;
+  match admission with
+  | `Duplicate ->
+      Events.emit d.events "error"
+        [ ("req", Events.S req.id);
+          ("message", Events.S "duplicate request id in flight") ];
+      `Rejected
+  | `Overloaded ->
+      Events.emit d.events "overloaded"
+        [ ("req", Events.S req.id); ("capacity", Events.I d.capacity) ];
+      `Rejected
+  | `Admitted (before, token) ->
+      Events.emit d.events "accepted"
+        [ ("req", Events.S req.id);
+          ("algo", Events.S req.search.algo);
+          ("queued", Events.I before) ];
+      let arrival = now () in
+      Pool.submit d.pool (fun () -> run_request d req token ~arrival);
+      `Accepted
 
 let cancel d id =
   Mutex.lock d.mu;
-  (match Hashtbl.find_opt d.tokens id with
+  (match Hashtbl.find_opt d.running id with
   | Some tok -> Atomic.set tok true
   | None ->
-      (* not in flight: either already finished (cancel is then a
-         no-op) or not yet submitted — pre-register a fired token so a
-         later submit is cancelled on entry *)
-      Hashtbl.add d.tokens id (Atomic.make true));
+      (* not in flight: either already finished or not yet submitted —
+         remember it so a later submit of this id is cancelled on
+         entry *)
+      Hashtbl.replace d.early_cancels id ());
   Mutex.unlock d.mu
 
 let handle_line d line =
@@ -253,7 +266,7 @@ let handle_line d line =
 
 let drain d =
   Mutex.lock d.mu;
-  while Atomic.get d.inflight > 0 do
+  while d.inflight > 0 do
     Condition.wait d.cv d.mu
   done;
   Mutex.unlock d.mu

@@ -34,7 +34,7 @@ type counts = {
   accepted : int;
   completed : int;
   cancelled : int;
-  errors : int;  (** failed requests + unparseable lines *)
+  errors : int;  (** failed requests + unparseable lines + duplicate ids *)
   rejected : int;  (** refused at admission *)
 }
 
@@ -61,13 +61,18 @@ val create :
     @raise Invalid_argument if [capacity < 1]. *)
 
 val submit : t -> Request.t -> [ `Accepted | `Rejected ]
-(** Admit a request; returns as soon as it is queued.  [`Rejected]
-    (capacity full) has already emitted the [overloaded] response. *)
+(** Admit a request; returns as soon as it is queued.  [`Rejected] has
+    already answered: [overloaded] when capacity is full (counted as
+    rejected), or an [error] record with message
+    ["duplicate request id in flight"] when an earlier request with the
+    same id is still queued or running (counted as an error).  An id is
+    free again once its request finishes. *)
 
 val cancel : t -> string -> unit
-(** Fire the cancellation token for a request id.  Unknown ids are
-    remembered, so a cancel racing ahead of its submit still wins;
-    cancelling a finished request is a no-op. *)
+(** Fire the cancellation token of the in-flight request with this id.
+    An id not in flight is remembered, so a cancel racing ahead of its
+    submit still wins: the next submit of that id is cancelled on
+    entry. *)
 
 val handle_line : t -> string -> unit
 (** Parse one wire line and dispatch it (submit or cancel); malformed

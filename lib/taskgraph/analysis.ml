@@ -17,37 +17,36 @@ let is_topological g seq =
          (Graph.edges g)
   end
 
+(* Each task is weighed once, up front; the n picks then scan the
+   weight array.  The scan goes v = 0 .. n-1 and only a strictly larger
+   weight displaces the incumbent ([not (bw >= w)], so a NaN on either
+   side displaces too), so equal weights resolve to the smaller id —
+   the deterministic rule documented in DESIGN.md. *)
 let list_schedule ~weight g =
   let n = Graph.num_tasks g in
+  let weights = Array.init n weight in
   let remaining_preds = Array.init n (fun i -> List.length (Graph.preds g i)) in
   let scheduled = Array.make n false in
   let rec step acc count =
     if count = n then List.rev acc
     else begin
-      let best = ref None in
+      let best = ref (-1) in
       for v = 0 to n - 1 do
-        if (not scheduled.(v)) && remaining_preds.(v) = 0 then begin
-          let w = weight v in
-          match !best with
-          | Some (_, bw) when bw >= w -> ()
-          | _ -> best := Some (v, w)
-        end
+        if
+          (not scheduled.(v)) && remaining_preds.(v) = 0
+          && (!best < 0 || not (weights.(!best) >= weights.(v)))
+        then best := v
       done;
-      match !best with
-      | None -> invalid_arg "Analysis.list_schedule: graph not acyclic?"
-      | Some (v, _) ->
-          scheduled.(v) <- true;
-          List.iter
-            (fun w -> remaining_preds.(w) <- remaining_preds.(w) - 1)
-            (Graph.succs g v);
-          step (v :: acc) (count + 1)
+      let v = !best in
+      if v < 0 then invalid_arg "Analysis.list_schedule: graph not acyclic?";
+      scheduled.(v) <- true;
+      List.iter
+        (fun w -> remaining_preds.(w) <- remaining_preds.(w) - 1)
+        (Graph.succs g v);
+      step (v :: acc) (count + 1)
     end
   in
   step [] 0
-
-(* Tie-break note: the scan goes v = 0 .. n-1 and only a strictly larger
-   weight displaces the incumbent, so equal weights resolve to the
-   smaller id — the deterministic rule documented in DESIGN.md. *)
 
 let any_topological_order g = list_schedule ~weight:(fun _ -> 0.0) g
 

@@ -11,7 +11,12 @@ val list_schedule : weight:(int -> float) -> Graph.t -> int list
 (** [list_schedule ~weight g] is the paper's list-scheduling skeleton:
     repeatedly pick, among the ready tasks (all predecessors already
     scheduled), the one with the largest [weight]; ties break on the
-    smaller task id.  Returns a valid linearization of [g]. *)
+    smaller task id.  Returns a valid linearization of [g].
+
+    [weight] is called exactly once per task, in increasing id order,
+    before the first pick, so it must not depend on the picks made so
+    far.  The n picks then each scan all n tasks: O(n{^2}) on top of
+    the n [weight] calls. *)
 
 val any_topological_order : Graph.t -> int list
 (** A canonical linearization (list schedule with all-equal weights,

@@ -264,6 +264,60 @@ let prop_list_schedule_always_valid =
       | (_ : Mschedule.t) -> true
       | exception Invalid_argument _ -> false)
 
+(* The once-per-task priority evaluation places every task exactly
+   where the per-step oracle does: under the critical-path priority of
+   [makespan_fastest] and under the subtree-current priority of
+   [battery_aware]'s re-sequencing, on identical and big.LITTLE PEs.
+   Tasks draw their design points from a pool of three lists, two of
+   them equal, so equal priorities are common and the smaller-id
+   tie-break is exercised. *)
+let prop_list_schedule_matches_oracle =
+  QCheck.Test.make ~count:100
+    ~name:"multiproc list schedule matches the per-step oracle"
+    QCheck.(pair (int_bound 1_000_000) (int_bound 2))
+    (fun (seed, npes) ->
+      let rng = Batsched_numeric.Rng.create seed in
+      let spec = { Generators.default_spec with Generators.num_points = 3 } in
+      let pool =
+        [| [ (600.0, 2.0); (300.0, 4.0); (150.0, 8.0) ];
+           [ (600.0, 2.0); (300.0, 4.0); (150.0, 8.0) ];
+           [ (433.3, 1.5); (211.7, 3.1); (97.1, 6.2) ] |]
+      in
+      let g =
+        Generators.random_dag ~rng ~spec
+          ~n:(1 + Batsched_numeric.Rng.int rng 48)
+          ~edge_prob:(Batsched_numeric.Rng.float rng 0.3)
+        |> Graph.map_tasks (fun t ->
+               Task.of_pairs ~id:t.Task.id ~name:t.Task.name
+                 pool.(Batsched_numeric.Rng.int rng 3))
+      in
+      let pes =
+        if Batsched_numeric.Rng.bool rng then Mschedule.Pe.uniform (1 + npes)
+        else Mschedule.Pe.big_little ~big:1 ~little:(1 + npes)
+      in
+      let n = Graph.num_tasks g in
+      let assignment =
+        Assignment.of_list g
+          (List.init n (fun _ ->
+               Batsched_numeric.Rng.int rng (Graph.num_points g)))
+      in
+      let module O = Batsched_oracle.Mschedule in
+      let same sched expected =
+        List.for_all
+          (fun i -> Mschedule.placement sched i = expected.(i))
+          (List.init n Fun.id)
+      in
+      let fastest = Assignment.all_fastest g in
+      same
+        (Mheuristics.makespan_fastest g ~pes)
+        (O.list_schedule g ~pes ~assignment:fastest
+           ~priority:(O.downward_rank g))
+      &&
+      let priority = Batsched_oracle.Priorities.subtree_current g assignment in
+      same
+        (Mschedule.list_schedule g ~pes ~assignment ~priority)
+        (O.list_schedule g ~pes ~assignment ~priority))
+
 let prop_superpose_preserves_charge =
   QCheck.Test.make ~count:60 ~name:"superposition preserves total charge"
     QCheck.(list_of_size Gen.(int_range 1 6)
@@ -293,6 +347,7 @@ let prop_more_pes_never_longer_makespan =
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_list_schedule_always_valid;
+      prop_list_schedule_matches_oracle;
       prop_superpose_preserves_charge;
       prop_more_pes_never_longer_makespan ]
 

@@ -575,6 +575,37 @@ let prop_priorities_always_topological =
       && Analysis.is_topological g (Priorities.weighted_sequence g a)
       && Analysis.is_topological g (Priorities.greedy_mean_current g a))
 
+(* Tie-heavy random DAGs: every task draws its design points from a
+   pool of three lists, two of them equal, so equal average energies
+   and equal subtree sums are common and the smaller-id tie-break is
+   exercised; random_dag permutes its vertices, so subgraphs are not
+   id ranges.  All three rules must return exactly the sequences of the
+   per-step oracle. *)
+let prop_priorities_match_oracle =
+  QCheck.Test.make ~count:300 ~name:"priorities match the per-step oracle"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Batsched_numeric.Rng.create seed in
+      let spec = { Generators.default_spec with Generators.num_points = 3 } in
+      let pool =
+        [| [ (600.0, 2.0); (300.0, 4.0); (150.0, 8.0) ];
+           [ (600.0, 2.0); (300.0, 4.0); (150.0, 8.0) ];
+           [ (433.3, 1.5); (211.7, 3.1); (97.1, 6.2) ] |]
+      in
+      let g =
+        Generators.random_dag ~rng ~spec
+          ~n:(1 + Batsched_numeric.Rng.int rng 64)
+          ~edge_prob:(Batsched_numeric.Rng.float rng 0.4)
+        |> Graph.map_tasks (fun t ->
+               Task.of_pairs ~id:t.Task.id ~name:t.Task.name
+                 pool.(Batsched_numeric.Rng.int rng 3))
+      in
+      let a = gen_assignment g (Batsched_numeric.Rng.int rng 1000) in
+      let module O = Batsched_oracle.Priorities in
+      Priorities.sequence_dec_energy g = O.sequence_dec_energy g
+      && Priorities.weighted_sequence g a = O.weighted_sequence g a
+      && Priorities.greedy_mean_current g a = O.greedy_mean_current g a)
+
 (* Random DAGs driven through random precedence-respecting move traces:
    the incremental evaluator's committed sigma/finish track the full
    [Schedule] path throughout, and its sequence stays topological (the
@@ -626,6 +657,7 @@ let qcheck_tests =
       prop_dpf_in_unit_interval;
       prop_schedule_profile_charge_consistent;
       prop_priorities_always_topological;
+      prop_priorities_match_oracle;
       prop_eval_traces_match_oracle ]
 
 let () =

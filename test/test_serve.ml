@@ -167,8 +167,56 @@ let test_daemon_cancel_before_submit () =
   Daemon.handle_line d "{\"cancel\":\"early\"}";
   Daemon.handle_line d (slow_line "early");
   Daemon.drain d;
+  (* the early cancel is spent on the first submit *)
+  Daemon.handle_line d (request_line ~id:"early" ());
+  Daemon.drain d;
   let c = Daemon.counts d in
-  Alcotest.(check int) "cancelled on entry" 1 c.Daemon.cancelled
+  Alcotest.(check int) "cancelled on entry" 1 c.Daemon.cancelled;
+  Alcotest.(check int) "resubmit completes" 1 c.Daemon.completed
+
+(* A second submit of an id still in flight is refused with an error
+   naming the id; the first request keeps its own cancel token, so a
+   cancel of that id stops it alone. *)
+let test_daemon_duplicate_id_rejected () =
+  let events = Events.create_memory () in
+  (with_daemon ~events @@ fun d ->
+   Daemon.handle_line d (slow_line "dup");
+   Alcotest.(check bool) "duplicate refused" true
+     (Daemon.submit d
+        (match Request.of_json (request_line ~id:"dup" ()) with
+         | Ok (Request.Submit r) -> r
+         | _ -> Alcotest.fail "expected submit")
+      = `Rejected);
+   Daemon.handle_line d "{\"cancel\":\"dup\"}";
+   Daemon.drain d;
+   let c = Daemon.counts d in
+   Alcotest.(check int) "accepted" 1 c.Daemon.accepted;
+   Alcotest.(check int) "cancelled" 1 c.Daemon.cancelled;
+   Alcotest.(check int) "errors" 1 c.Daemon.errors);
+  let errors =
+    List.filter
+      (fun (r : Events.record) -> r.Events.kind = "error")
+      (Events.snapshot events)
+  in
+  match errors with
+  | [ r ] ->
+      Alcotest.(check bool) "names the id" true
+        (List.assoc_opt "req" r.Events.fields = Some (Events.S "dup"));
+      Alcotest.(check bool) "message" true
+        (List.assoc_opt "message" r.Events.fields
+         = Some (Events.S "duplicate request id in flight"))
+  | _ -> Alcotest.fail "expected one error record"
+
+let test_daemon_id_reused_after_finish () =
+  with_daemon @@ fun d ->
+  Daemon.handle_line d (request_line ~id:"again" ());
+  Daemon.drain d;
+  Daemon.handle_line d (request_line ~id:"again" ());
+  Daemon.drain d;
+  let c = Daemon.counts d in
+  Alcotest.(check int) "accepted" 2 c.Daemon.accepted;
+  Alcotest.(check int) "completed" 2 c.Daemon.completed;
+  Alcotest.(check int) "errors" 0 c.Daemon.errors
 
 let test_daemon_overload () =
   let events = Events.create_memory () in
@@ -236,6 +284,10 @@ let () =
             test_daemon_cancel_in_flight;
           Alcotest.test_case "cancel before submit" `Quick
             test_daemon_cancel_before_submit;
+          Alcotest.test_case "duplicate id rejected" `Quick
+            test_daemon_duplicate_id_rejected;
+          Alcotest.test_case "id reused after finish" `Quick
+            test_daemon_id_reused_after_finish;
           Alcotest.test_case "overload" `Quick test_daemon_overload;
           Alcotest.test_case "malformed line" `Quick
             test_daemon_malformed_line ] );

@@ -144,6 +144,20 @@ let test_list_schedule_tie_breaks_low_id () =
   let seq = Analysis.list_schedule ~weight:(fun _ -> 1.0) g in
   Alcotest.(check (list int)) "order" [ 0; 1; 2; 3 ] seq
 
+(* The weight function is evaluated once per task, in increasing id
+   order, before the first pick — not once per ready task per step. *)
+let test_list_schedule_weighs_each_task_once () =
+  let g = diamond () in
+  let calls = ref [] in
+  let seq =
+    Analysis.list_schedule
+      ~weight:(fun v -> calls := v :: !calls; float_of_int v)
+      g
+  in
+  Alcotest.(check (list int)) "order" [ 0; 2; 1; 3 ] seq;
+  Alcotest.(check (list int)) "one call per id" [ 0; 1; 2; 3 ]
+    (List.rev !calls)
+
 let test_all_topological_orders_diamond () =
   let g = diamond () in
   let orders = Analysis.all_topological_orders g in
@@ -758,6 +772,7 @@ let () =
           Alcotest.test_case "rejects invalid orders" `Quick test_topological_rejects_invalid;
           Alcotest.test_case "list schedule weight" `Quick test_list_schedule_respects_weight;
           Alcotest.test_case "tie-break low id" `Quick test_list_schedule_tie_breaks_low_id;
+          Alcotest.test_case "weighs each task once" `Quick test_list_schedule_weighs_each_task_once;
           Alcotest.test_case "all orders diamond" `Quick test_all_topological_orders_diamond;
           Alcotest.test_case "count orders chain" `Quick test_count_topological_orders_chain;
           Alcotest.test_case "descendants" `Quick test_descendants;
