@@ -298,12 +298,16 @@ let scenario_choose =
     ("anneal-n64-kibam-delta/short-walk", anneal kibam);
     ("anneal-n64-kibam-reference/short-walk", anneal_reference kibam) ]
 
-(* The Eq. 4 list scheduler against its per-step oracle
-   (Batsched_oracle) on one seeded 256-task random DAG at the
-   dag-scale density (edge probability 4/n) with a fixed assignment:
-   same graph, same weights, same sequence — the row ratio is what
-   weighing each task once per call buys. *)
-let scenario_priorities =
+(* Twin pairs on one seeded 256-task random DAG at the dag-scale
+   density (edge probability 4/n): each row runs the production path
+   and its oracle (Batsched_oracle) on the same input, so the row ratio
+   is machine-independent.
+   - priorities: the Eq. 4 list scheduler under a fixed assignment; the
+     ratio is what weighing each task once per call buys.
+   - choose: ChooseDesignPoints at window 0 on the energy-ordered
+     sequence; the ratio is what carrying the hypothetical completion
+     across tagged positions buys over the per-trial rescan. *)
+let scenario_n256 =
   let n = 256 in
   let g =
     let rng = Batsched_numeric.Rng.create 42 in
@@ -313,10 +317,26 @@ let scenario_priorities =
   in
   let m = Batsched_taskgraph.Graph.num_points g in
   let a = Batsched_sched.Assignment.of_list g (List.init n (fun i -> i mod m)) in
+  let cfg =
+    Batsched.Config.make
+      ~deadline:(Batsched_taskgraph.Generators.feasible_deadline g ~slack:0.6)
+      ()
+  in
+  let seq = Batsched_sched.Priorities.sequence_dec_energy g in
   [ ("priorities-n256/weighted-sequence",
      fun () -> ignore (Batsched_sched.Priorities.weighted_sequence g a));
     ("priorities-n256-reference/weighted-sequence",
-     fun () -> ignore (Batsched_oracle.Priorities.weighted_sequence g a)) ]
+     fun () -> ignore (Batsched_oracle.Priorities.weighted_sequence g a));
+    ("choose-n256/window0",
+     fun () ->
+       ignore
+         (Batsched.Choose.choose_design_points cfg g ~sequence:seq
+            ~window_start:0));
+    ("choose-n256-reference/window0",
+     fun () ->
+       ignore
+         (Batsched_oracle.Choose.choose_design_points cfg g ~sequence:seq
+            ~window_start:0)) ]
 
 (* Fork-join with static striding: [k] fresh domains per call (the
    caller is worker 0), worker [w] taking indices [w], [w + k], ...
@@ -419,7 +439,7 @@ let scenario_fleet =
 
 let scenarios =
   scenario_kernels @ scenario_artifacts @ scenario_scaling @ scenario_choose
-  @ scenario_priorities @ scenario_serve @ scenario_fleet
+  @ scenario_n256 @ scenario_serve @ scenario_fleet
 
 (* --- smoke: run every scenario exactly once --- *)
 

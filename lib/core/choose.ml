@@ -11,285 +11,372 @@ type dpf_result = {
 
 let eps = 1e-9
 
-(* Per-call context: everything [CalculateDPF] needs, hoisted out of
-   the O(n * m) tagging loop.  The seed implementation recomputed the
-   energy order (a sort), the energy bounds and the current range — and
-   rebuilt list/assignment copies — inside every one of those calls;
-   here each is computed once per [choose_design_points] and every
-   design-point lookup is a flat array read.
+(* --- per-graph tables ---
 
-   On top of the hoisted tables sits the *incremental* trial path (see
-   [begin_pos]/[trial] below and DESIGN.md §9): per tagged position the
-   serial-time / energy totals and the current-increase count are
-   maintained as O(1) deltas between consecutive column trials, and the
-   scratch column array is patched and un-patched instead of re-blitted
-   per trial.  The seed's per-trial O(n) rescans live on as the test
-   oracle (test/oracle/choose.ml). *)
-type ctx = {
-  n : int;
-  m : int;
-  deadline : float;
-  window_start : int;
-  seq : int array;
-  pos_of : int array;         (* task -> position in [seq] *)
+   Everything [CalculateDPF] reads about the graph itself, as flat
+   arrays: design-point tables, the energy rank and the ENR/CR bounds.
+   A graph is immutable, so the tables are built once per graph and kept
+   in a one-entry cache per domain, keyed on physical equality — the
+   loop, [Window.evaluate] and [Polish] call Choose thousands of times
+   on the same graph.  Each pool domain owns its entry, so no lock. *)
+type tables = {
   dur : float array array;    (* dur.(task).(col), from [Task.point] *)
   cur : float array array;
   energy : float array array; (* current *. voltage *. duration *)
-  energy_order : int array;   (* increasing average energy, ties by id *)
+  rank : int array;           (* task -> place in increasing average energy *)
   emin : float;
   emax : float;
   imin : float;
   imax : float;
-  (* scratch reused across the thousands of CalculateDPF calls *)
-  scratch_cols : int array;
-  (* --- incremental per-position state (valid between [begin_pos] and
-     the next [begin_pos]; one position in flight at a time) --- *)
-  step_task : int array;      (* task upgraded at step s, s < nsteps *)
-  cum_dt : float array;       (* cum_dt.(k): duration delta of steps < k *)
-  cum_de : float array;       (* cum_de.(k): energy delta of steps < k *)
-  acc : float array;          (* 2-cell compensated accumulator *)
-  acc2 : float array;         (* second accumulator (paired sums) *)
-  mutable nsteps : int;
-  mutable applied : int;      (* steps currently applied to scratch_cols *)
-  mutable inc_count : int;    (* live current-increase count of scratch *)
-  mutable base_te : float;    (* serial time, all tasks but the tagged *)
-  mutable base_energy : float;(* energy total, all tasks but the tagged *)
-  mutable tagged_pos : int;
-  mutable tagged_task : int;
 }
 
-(* Compensated (Neumaier) accumulation into a 2-cell float array —
-   [acc.(0)] running total, [acc.(1)] compensation.  Unlike folding
-   [Kahan.add] this allocates nothing: the cells live in a preallocated
-   unboxed float array and the compiler keeps the arithmetic in
-   registers. *)
-let[@inline] kacc_clear acc =
-  acc.(0) <- 0.0;
-  acc.(1) <- 0.0
-
-let[@inline] kacc_add acc x =
-  let total = acc.(0) in
-  let t = total +. x in
-  acc.(1) <-
-    acc.(1)
-    +.
-    (if Float.abs total >= Float.abs x then (total -. t) +. x
-     else (x -. t) +. total);
-  acc.(0) <- t
-
-let[@inline] kacc_sum acc = acc.(0) +. acc.(1)
-
-let make_ctx (cfg : Config.t) g ~seq ~window_start =
-  let n = Graph.num_tasks g in
-  let m = Graph.num_points g in
-  let point i j = Task.point (Graph.task g i) j in
-  let table f = Array.init n (fun i -> Array.init m (fun j -> f (point i j))) in
+let make_tables g =
+  let n = Graph.num_tasks g and m = Graph.num_points g in
+  let table f =
+    Array.init n (fun i -> Array.init m (fun j -> f (Task.point (Graph.task g i) j)))
+  in
+  let rank = Array.make n 0 in
+  List.iteri (fun r t -> rank.(t) <- r) (Analysis.energy_vector g);
   let emin, emax = Analysis.energy_bounds g in
   let imin, imax = Analysis.current_range g in
-  let dur = table (fun p -> p.Task.duration) in
-  let pos_of = Array.make n 0 in
-  Array.iteri (fun pos t -> pos_of.(t) <- pos) seq;
-  let max_steps = (n * (m - 1)) + 1 in
-  { n;
-    m;
-    deadline = cfg.Config.deadline;
-    window_start;
-    seq;
-    pos_of;
-    dur;
+  { dur = table (fun p -> p.Task.duration);
     cur = table (fun p -> p.Task.current);
     energy = table (fun p -> p.Task.current *. p.Task.voltage *. p.Task.duration);
-    energy_order = Array.of_list (Analysis.energy_vector g);
+    rank;
     emin;
     emax;
     imin;
-    imax;
-    scratch_cols = Array.make n 0;
-    step_task = Array.make max_steps 0;
-    cum_dt = Array.make max_steps 0.0;
-    cum_de = Array.make max_steps 0.0;
-    acc = Array.make 2 0.0;
-    acc2 = Array.make 2 0.0;
-    nsteps = 0;
-    applied = 0;
-    inc_count = 0;
-    base_te = 0.0;
-    base_energy = 0.0;
-    tagged_pos = 0;
-    tagged_task = 0 }
+    imax }
+
+let cache : (Graph.t * tables) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let tables g =
+  match Domain.DLS.get cache with
+  | Some (g', tb) when g' == g -> tb
+  | _ ->
+      let tb = make_tables g in
+      Domain.DLS.set cache (Some (g, tb));
+      tb
+
+(* --- the carried hypothetical completion ---
+
+   With the tagged task at position [pos], every free task (position
+   below [pos]) starts parked at the lowest-power column and the paper's
+   upgrade loop moves them one column at a time, in increasing
+   average-energy order, down to the window edge.  With S = m-1-ws, the
+   task of energy rank r owns the fixed slots r*S .. r*S+S-1 of that
+   schedule; slot s is its step from column lowest-s to lowest-s-1.  A
+   slot is live iff its task is free; dead slots hold zeros.  Whatever
+   the trial column, the hypothetical completion is the smallest applied
+   prefix of slots that meets the deadline.
+
+   Each leaf holds the step's duration and energy deltas, a live count,
+   and the step's change to the current-increase count of the
+   free-prefix pairs: when rank r moves, every free partner of lower
+   rank already sits at the window edge and every other one still at
+   the lowest column.  A segment tree over the slots (root 1, leaves
+   [size, 2*size)) keeps child sums in each node, recomputed from the
+   children on update so nothing drifts; one root-to-leaf descent per
+   trial finds the prefix.  Moving to the next position rewrites only
+   the slots of the two tasks whose state changed (DESIGN.md §9). *)
+type ctx = {
+  tb : tables;
+  n : int;
+  lowest : int;
+  window_start : int;
+  span : int;                 (* S: upgrade steps per free task *)
+  deadline : float;
+  seq : int array;
+  pos_of : int array;         (* task -> position in [seq] *)
+  cols : int array;           (* committed columns of the fixed suffix *)
+  low_te : float array;       (* low_te.(p): seq.(0..p-1) durations at lowest *)
+  low_en : float array;       (* same for energies *)
+  low_inc : int array;        (* low_inc.(p): increasing pairs in seq.(0..p-1) at lowest *)
+  suf_te : Kahan.Acc.t;       (* committed suffix durations *)
+  suf_en : Kahan.Acc.t;
+  size : int;
+  dt : float array;
+  de : float array;
+  cnt : int array;
+  cif : int array;
+  (* float state in arrays, so updating it boxes nothing *)
+  base : float array;         (* [| te; energy |] of all tasks but the tagged *)
+  pre : float array;          (* [| dt; de |] of the last descent's prefix *)
+  mutable pre_len : int;      (* slots in that prefix *)
+  mutable pre_cnt : int;      (* live slots in it: the applied step count *)
+  mutable pre_cif : int;
+  mutable committed_inc : int; (* increasing pairs in the fixed suffix *)
+  mutable pos : int;          (* tagged position *)
+  mutable prev_k : int;       (* applied step count of the previous trial *)
+}
+
+let[@inline] inc a b = if b > a then 1 else 0
+
+let make_ctx (cfg : Config.t) g ~seq ~window_start =
+  let tb = tables g in
+  let n = Graph.num_tasks g and m = Graph.num_points g in
+  let lowest = m - 1 in
+  let span = lowest - window_start in
+  let pos_of = Array.make n 0 in
+  Array.iteri (fun pos t -> pos_of.(t) <- pos) seq;
+  let low_te = Array.make (n + 1) 0.0 and low_en = Array.make (n + 1) 0.0 in
+  let low_inc = Array.make (n + 1) 0 in
+  let te = Kahan.Acc.create () and en = Kahan.Acc.create () in
+  Array.iteri
+    (fun p t ->
+      Kahan.Acc.add te tb.dur.(t).(lowest);
+      Kahan.Acc.add en tb.energy.(t).(lowest);
+      low_te.(p + 1) <- Kahan.Acc.sum te;
+      low_en.(p + 1) <- Kahan.Acc.sum en;
+      low_inc.(p + 1) <-
+        low_inc.(p)
+        + (if p = 0 then 0
+           else inc tb.cur.(seq.(p - 1)).(lowest) tb.cur.(t).(lowest)))
+    seq;
+  let rec pow2 k = if k >= n * span then k else pow2 (2 * k) in
+  let size = pow2 1 in
+  { tb;
+    n;
+    lowest;
+    window_start;
+    span;
+    deadline = cfg.Config.deadline;
+    seq;
+    pos_of;
+    cols = Array.make n lowest;
+    low_te;
+    low_en;
+    low_inc;
+    suf_te = Kahan.Acc.create ();
+    suf_en = Kahan.Acc.create ();
+    size;
+    dt = Array.make (2 * size) 0.0;
+    de = Array.make (2 * size) 0.0;
+    cnt = Array.make (2 * size) 0;
+    cif = Array.make (2 * size) 0;
+    base = Array.make 2 0.0;
+    pre = Array.make 2 0.0;
+    pre_len = 0;
+    pre_cnt = 0;
+    pre_cif = 0;
+    committed_inc = 0;
+    pos = 0;
+    prev_k = 0 }
 
 (* Metrics.current_ratio over the precomputed range. *)
-let current_ratio ctx i =
-  if ctx.imax -. ctx.imin <= 0.0 then 0.0
-  else (i -. ctx.imin) /. (ctx.imax -. ctx.imin)
+let current_ratio c i =
+  if c.tb.imax -. c.tb.imin <= 0.0 then 0.0
+  else (i -. c.tb.imin) /. (c.tb.imax -. c.tb.imin)
 
-(* --- incremental CalculateDPF ---
+let pull c k =
+  let l = 2 * k and r = (2 * k) + 1 in
+  c.dt.(k) <- c.dt.(l) +. c.dt.(r);
+  c.de.(k) <- c.de.(l) +. c.de.(r);
+  c.cnt.(k) <- c.cnt.(l) + c.cnt.(r);
+  c.cif.(k) <- c.cif.(l) + c.cif.(r)
 
-   For a fixed tagged position the trial loop sweeps the tagged task's
-   column; everything else about the hypothetical state is a function
-   of *how many* upgrade steps the deadline forces.  The upgrade
-   schedule itself — which free task moves, from which column — is
-   fixed by the energy order and does not depend on the trial column,
-   so [begin_pos] materializes it once (with compensated prefix sums of
-   its duration/energy deltas) and [trial] only moves the tagged column
-   (one O(1) patch) and slides the applied-step count to the smallest
-   feasible value.  Total time and energy then read off the prefix
-   sums; the current-increase count is maintained exactly under each
-   single-column patch; the DPF numerator *is* the applied-step count,
-   because every step raises one free task's slowdown weight by exactly
-   1/span.
-
-   The column sweep visits slower-to-faster trial columns, and
-   [Task.make] sorts every task's points by ascending duration, so the
-   required step count only ever decreases within a position: the walk
-   below is amortized O(1) per trial. *)
-
-(* Patch one task's column in the live scratch state, keeping the
-   current-increase count of the sequence exact.  Only the two pairs
-   adjacent to the task's position can change. *)
-let[@inline] cur_at ctx p =
-  let v = ctx.seq.(p) in
-  ctx.cur.(v).(ctx.scratch_cols.(v))
-
-let set_col ctx v c =
-  let p = ctx.pos_of.(v) in
-  if p > 0 && cur_at ctx p > cur_at ctx (p - 1) then
-    ctx.inc_count <- ctx.inc_count - 1;
-  if p < ctx.n - 1 && cur_at ctx (p + 1) > cur_at ctx p then
-    ctx.inc_count <- ctx.inc_count - 1;
-  ctx.scratch_cols.(v) <- c;
-  if p > 0 && cur_at ctx p > cur_at ctx (p - 1) then
-    ctx.inc_count <- ctx.inc_count + 1;
-  if p < ctx.n - 1 && cur_at ctx (p + 1) > cur_at ctx p then
-    ctx.inc_count <- ctx.inc_count + 1
-
-(* Stage the tagged position: blit the committed columns once (the
-   only O(n) copy this position will make), compute the base aggregates
-   excluding the tagged task, and materialize the upgrade schedule.
-   [cols] must hold the committed suffix, with every free task and the
-   tagged task parked at the lowest-power column. *)
-let begin_pos ctx ~cols ~pos =
-  let n = ctx.n in
-  let t = ctx.seq.(pos) in
-  ctx.tagged_pos <- pos;
-  ctx.tagged_task <- t;
-  Array.blit cols 0 ctx.scratch_cols 0 n;
-  let te = ctx.acc and en = ctx.acc2 in
-  kacc_clear te;
-  kacc_clear en;
-  for i = 0 to n - 1 do
-    if i <> t then begin
-      let c = ctx.scratch_cols.(i) in
-      kacc_add te ctx.dur.(i).(c);
-      kacc_add en ctx.energy.(i).(c)
-    end
-  done;
-  ctx.base_te <- kacc_sum te;
-  ctx.base_energy <- kacc_sum en;
-  (* exact increase count of the entry state *)
-  let count = ref 0 in
-  if n > 1 then begin
-    let prev = ref (cur_at ctx 0) in
-    for p = 1 to n - 1 do
-      let c = cur_at ctx p in
-      if c > !prev then incr count;
-      prev := c
+(* Write task [q]'s leaves for tagged position [pos]; ancestors are
+   left stale. *)
+let fill_slots c q ~pos =
+  let tb = c.tb in
+  let r = tb.rank.(q) in
+  let base = c.size + (r * c.span) in
+  let p = c.pos_of.(q) in
+  if p >= pos then begin
+    Array.fill c.dt base c.span 0.0;
+    Array.fill c.de base c.span 0.0;
+    Array.fill c.cnt base c.span 0;
+    Array.fill c.cif base c.span 0
+  end
+  else begin
+    let partner v =
+      tb.cur.(v).(if tb.rank.(v) < r then c.window_start else c.lowest)
+    in
+    let has_left = p > 0 and has_right = p + 1 < pos in
+    let cl = if has_left then partner c.seq.(p - 1) else 0.0 in
+    let cr = if has_right then partner c.seq.(p + 1) else 0.0 in
+    let incs i =
+      (if has_left then inc cl i else 0) + if has_right then inc i cr else 0
+    in
+    let d = tb.dur.(q) and e = tb.energy.(q) and cu = tb.cur.(q) in
+    for s = 0 to c.span - 1 do
+      let col = c.lowest - s and k = base + s in
+      c.dt.(k) <- d.(col - 1) -. d.(col);
+      c.de.(k) <- e.(col - 1) -. e.(col);
+      c.cnt.(k) <- 1;
+      c.cif.(k) <- incs cu.(col - 1) - incs cu.(col)
     done
-  end;
-  ctx.inc_count <- !count;
-  (* upgrade schedule: free tasks in increasing-average-energy order,
-     each from the lowest-power column down to the window edge — the
-     exact visit order of the paper's upgrade loop, flattened *)
-  let dt = ctx.acc and de = ctx.acc2 in
-  kacc_clear dt;
-  kacc_clear de;
-  ctx.cum_dt.(0) <- 0.0;
-  ctx.cum_de.(0) <- 0.0;
-  let s = ref 0 in
-  for k = 0 to n - 1 do
-    let q = ctx.energy_order.(k) in
-    if ctx.pos_of.(q) < pos then
-      for c = ctx.m - 1 downto ctx.window_start + 1 do
-        ctx.step_task.(!s) <- q;
-        kacc_add dt (ctx.dur.(q).(c - 1) -. ctx.dur.(q).(c));
-        kacc_add de (ctx.energy.(q).(c - 1) -. ctx.energy.(q).(c));
-        incr s;
-        ctx.cum_dt.(!s) <- kacc_sum dt;
-        ctx.cum_de.(!s) <- kacc_sum de
-      done
-  done;
-  ctx.nsteps <- !s;
-  ctx.applied <- 0
+  end
 
-(* Evaluate the tagged task at column [j] against the staged position:
-   O(1) plus the (amortized O(1)) slide of the applied-step count.
+let build c ~pos =
+  for q = 0 to c.n - 1 do
+    fill_slots c q ~pos
+  done;
+  for k = c.size - 1 downto 1 do
+    pull c k
+  done
+
+(* Rewrite task [q]'s leaves and recompute their ancestors:
+   O(S + log n). *)
+let refresh c q ~pos =
+  if c.span > 0 then begin
+    fill_slots c q ~pos;
+    let first = c.size + (c.tb.rank.(q) * c.span) in
+    let lo = ref (first / 2) and hi = ref ((first + c.span - 1) / 2) in
+    while !lo >= 1 do
+      for k = !lo to !hi do
+        pull c k
+      done;
+      lo := !lo / 2;
+      hi := !hi / 2
+    done
+  end
+
+(* Stage tagged position [pos]: the tree must already describe it. *)
+let enter c ~pos =
+  c.pos <- pos;
+  c.prev_k <- 0;
+  c.base.(0) <- Kahan.Acc.sum c.suf_te +. c.low_te.(pos);
+  c.base.(1) <- Kahan.Acc.sum c.suf_en +. c.low_en.(pos)
+
+(* Fix the tagged task at [col] and move on to position pos-1:
+   seq.(pos-1) becomes the tagged task, and seq.(pos-2) loses its free
+   right-hand partner. *)
+let commit c ~col =
+  let pos = c.pos in
+  let t = c.seq.(pos) in
+  let cur = c.tb.cur in
+  c.cols.(t) <- col;
+  Kahan.Acc.add c.suf_te c.tb.dur.(t).(col);
+  Kahan.Acc.add c.suf_en c.tb.energy.(t).(col);
+  if pos + 1 < c.n then begin
+    let v = c.seq.(pos + 1) in
+    c.committed_inc <- c.committed_inc + inc cur.(t).(col) cur.(v).(c.cols.(v))
+  end;
+  if pos >= 1 then begin
+    refresh c c.seq.(pos - 1) ~pos:(pos - 1);
+    if pos >= 2 then refresh c c.seq.(pos - 2) ~pos:(pos - 1);
+    enter c ~pos:(pos - 1)
+  end
+
+(* The smallest applied prefix with [te_entry +. dt <= d +. eps], left
+   in [pre*]; the whole tree if none meets the deadline.  Returns
+   whether the deadline is met. *)
+let descend c ~te_entry =
+  let limit = c.deadline +. eps in
+  let set len ~dt ~de ~cnt ~cif =
+    c.pre_len <- len;
+    c.pre.(0) <- dt;
+    c.pre.(1) <- de;
+    c.pre_cnt <- cnt;
+    c.pre_cif <- cif
+  in
+  if te_entry <= limit then begin
+    set 0 ~dt:0.0 ~de:0.0 ~cnt:0 ~cif:0;
+    true
+  end
+  else if not (te_entry +. c.dt.(1) <= limit) then begin
+    set c.size ~dt:c.dt.(1) ~de:c.de.(1) ~cnt:c.cnt.(1) ~cif:c.cif.(1);
+    false
+  end
+  else begin
+    let k = ref 1 and dt = ref 0.0 and de = ref 0.0 in
+    let cnt = ref 0 and cif = ref 0 in
+    while !k < c.size do
+      let l = 2 * !k in
+      if te_entry +. (!dt +. c.dt.(l)) <= limit then k := l
+      else begin
+        dt := !dt +. c.dt.(l);
+        de := !de +. c.de.(l);
+        cnt := !cnt + c.cnt.(l);
+        cif := !cif + c.cif.(l);
+        k := l + 1
+      end
+    done;
+    let leaf = !k in
+    set (leaf - c.size + 1) ~dt:(!dt +. c.dt.(leaf)) ~de:(!de +. c.de.(leaf))
+      ~cnt:(!cnt + c.cnt.(leaf)) ~cif:(!cif + c.cif.(leaf));
+    true
+  end
+
+(* Column of free task [q] in the last descent's completion. *)
+let free_col c q =
+  let applied = c.pre_len - (c.tb.rank.(q) * c.span) in
+  c.lowest - Int.max 0 (Int.min c.span applied)
+
+(* Evaluate the tagged task at column [j]: one descent, O(log n).
    Returns (enr, cif, dpf) for the hypothetical completion. *)
-let trial ctx ~j =
-  let t = ctx.tagged_task in
-  if ctx.scratch_cols.(t) <> j then set_col ctx t j;
-  let te_entry = ctx.base_te +. ctx.dur.(t).(j) in
-  let d = ctx.deadline in
-  let feasible k = te_entry +. ctx.cum_dt.(k) <= d +. eps in
-  while ctx.applied > 0 && feasible (ctx.applied - 1) do
-    let s = ctx.applied - 1 in
-    let q = ctx.step_task.(s) in
-    set_col ctx q (ctx.scratch_cols.(q) + 1);
-    ctx.applied <- s
-  done;
-  let probe = Probe.local () in
-  while ctx.applied < ctx.nsteps && not (feasible ctx.applied) do
-    let q = ctx.step_task.(ctx.applied) in
-    probe.Probe.dpf_steps <- probe.Probe.dpf_steps + 1;
-    set_col ctx q (ctx.scratch_cols.(q) - 1);
-    ctx.applied <- ctx.applied + 1
-  done;
-  let infeasible = not (feasible ctx.applied) in
+let trial c ~j =
+  let tb = c.tb and pos = c.pos and n = c.n in
+  let t = c.seq.(pos) in
+  let te_entry = c.base.(0) +. tb.dur.(t).(j) in
+  let feasible = descend c ~te_entry in
+  (* work counter: the rise in the applied step count since the
+     previous trial, i.e. the steps a forward walk would apply *)
+  let k = c.pre_cnt in
+  if k > c.prev_k then begin
+    let probe = Probe.local () in
+    probe.Probe.dpf_steps <- probe.Probe.dpf_steps + (k - c.prev_k)
+  end;
+  c.prev_k <- k;
   let enr =
-    if ctx.emax -. ctx.emin <= 0.0 then 0.0
+    if tb.emax -. tb.emin <= 0.0 then 0.0
     else
-      (ctx.base_energy +. ctx.energy.(t).(j) +. ctx.cum_de.(ctx.applied)
-      -. ctx.emin)
-      /. (ctx.emax -. ctx.emin)
+      (c.base.(1) +. tb.energy.(t).(j) +. c.pre.(1) -. tb.emin)
+      /. (tb.emax -. tb.emin)
   in
   let cif =
-    if ctx.n <= 1 then 0.0
-    else float_of_int ctx.inc_count /. float_of_int (ctx.n - 1)
+    if n <= 1 then 0.0
+    else begin
+      let ct = tb.cur.(t).(j) in
+      let right =
+        if pos + 1 < n then
+          let v = c.seq.(pos + 1) in
+          inc ct tb.cur.(v).(c.cols.(v))
+        else 0
+      in
+      let left =
+        if pos > 0 then
+          let v = c.seq.(pos - 1) in
+          inc tb.cur.(v).(free_col c v) ct
+        else 0
+      in
+      float_of_int
+        (c.committed_inc + c.low_inc.(pos) + c.pre_cif + left + right)
+      /. float_of_int (n - 1)
+    end
   in
   let dpf =
-    if infeasible then Float.infinity
-    else if ctx.tagged_pos = 0 then
-      Metrics.slack_ratio ~deadline:d
-        ~time:(te_entry +. ctx.cum_dt.(ctx.applied))
-    else if ctx.window_start = ctx.m - 1 then 0.0
-    else
-      float_of_int ctx.applied
-      /. float_of_int (ctx.m - 1 - ctx.window_start)
-      /. float_of_int ctx.tagged_pos
+    if not feasible then Float.infinity
+    else if pos = 0 then
+      Metrics.slack_ratio ~deadline:c.deadline ~time:(te_entry +. c.pre.(0))
+    else if c.span = 0 then 0.0
+    else float_of_int k /. float_of_int c.span /. float_of_int pos
   in
   (enr, cif, dpf)
 
-let mk_result ctx (enr, cif, dpf) g =
-  { enr;
-    cif;
-    dpf;
-    hypothetical = Assignment.of_list g (Array.to_list ctx.scratch_cols) }
-
 let calculate_dpf (cfg : Config.t) g ~sequence ~assignment ~tagged_pos
     ~window_start =
-  let ctx = make_ctx cfg g ~seq:sequence ~window_start in
-  let cols = Array.make ctx.n 0 in
+  let c = make_ctx cfg g ~seq:sequence ~window_start in
+  let cols = c.cols in
   List.iteri (fun i col -> cols.(i) <- col) (Assignment.to_list assignment);
   for pos = 0 to tagged_pos - 1 do
-    if cols.(ctx.seq.(pos)) <> ctx.m - 1 then
+    if cols.(c.seq.(pos)) <> c.lowest then
       invalid_arg "Choose.calculate_dpf: free task not at the lowest-power column"
   done;
-  (* [begin_pos] expects the tagged task parked at lowest power;
-     [trial] then patches it to the actual tagged column. *)
-  let t = ctx.seq.(tagged_pos) in
-  let j = cols.(t) in
-  cols.(t) <- ctx.m - 1;
-  begin_pos ctx ~cols ~pos:tagged_pos;
-  mk_result ctx (trial ctx ~j) g
+  build c ~pos:(c.n - 1);
+  enter c ~pos:(c.n - 1);
+  while c.pos > tagged_pos do
+    commit c ~col:cols.(c.seq.(c.pos))
+  done;
+  let enr, cif, dpf = trial c ~j:cols.(c.seq.(tagged_pos)) in
+  let hypothetical = Array.copy cols in
+  for pos = 0 to tagged_pos - 1 do
+    let q = c.seq.(pos) in
+    hypothetical.(q) <- free_col c q
+  done;
+  { enr; cif; dpf; hypothetical = Assignment.of_list g (Array.to_list hypothetical) }
 
 let suitability (cfg : Config.t) ~sr ~cr ~enr ~cif ~dpf =
   if dpf = Float.infinity then Float.infinity
@@ -325,13 +412,10 @@ let choose_design_points (cfg : Config.t) g ~sequence ~window_start =
           ])
   @@ fun () ->
   let seq = Array.of_list sequence in
-  let ctx = make_ctx cfg g ~seq ~window_start in
-  let n = ctx.n in
+  let c = make_ctx cfg g ~seq ~window_start in
+  let n = c.n and dur = c.tb.dur in
   let d = cfg.Config.deadline in
-  let lowest = m - 1 in
-  (* Committed columns of the fixed suffix; free tasks read as lowest
-     power, which is also their hypothetical parking column. *)
-  let cols = Array.make n lowest in
+  let lowest = c.lowest in
   (* The paper fixes the last task at the lowest-power column outright
      ("S(n,m) = 1"), which can bust a tight deadline before selection
      even starts.  We take the slowest column that leaves the rest of
@@ -339,29 +423,30 @@ let choose_design_points (cfg : Config.t) g ~sequence ~window_start =
      to the paper whenever its own examples apply (see DESIGN.md). *)
   let last = seq.(n - 1) in
   let rest_fastest =
-    Kahan.sum_fn (n - 1) (fun pos -> ctx.dur.(seq.(pos)).(window_start))
+    Kahan.sum_fn (n - 1) (fun pos -> dur.(seq.(pos)).(window_start))
   in
   let last_col =
     let rec pick j =
       if j <= window_start then window_start
-      else if ctx.dur.(last).(j) +. rest_fastest <= d +. 1e-9 then j
+      else if dur.(last).(j) +. rest_fastest <= d +. 1e-9 then j
       else pick (j - 1)
     in
     pick lowest
   in
-  if ctx.dur.(last).(last_col) +. rest_fastest > d +. 1e-9 then
+  if dur.(last).(last_col) +. rest_fastest > d +. 1e-9 then
     raise Config.Deadline_unmeetable;
-  cols.(last) <- last_col;
-  let tsum = ref ctx.dur.(last).(last_col) in
+  build c ~pos:(n - 1);
+  enter c ~pos:(n - 1);
+  commit c ~col:last_col;
+  let tsum = ref dur.(last).(last_col) in
   for pos = n - 2 downto 0 do
     let t = seq.(pos) in
     let best = ref None in
-    begin_pos ctx ~cols ~pos;
     for j = lowest downto window_start do
-      let ttemp = !tsum +. ctx.dur.(t).(j) in
+      let ttemp = !tsum +. dur.(t).(j) in
       let sr = Metrics.slack_ratio ~deadline:d ~time:ttemp in
-      let cr = current_ratio ctx ctx.cur.(t).(j) in
-      let enr, cif, dpf = trial ctx ~j in
+      let cr = current_ratio c c.tb.cur.(t).(j) in
+      let enr, cif, dpf = trial c ~j in
       let b = suitability cfg ~sr ~cr ~enr ~cif ~dpf in
       match !best with
       | Some (_, best_b) when best_b <= b -> ()
@@ -370,8 +455,7 @@ let choose_design_points (cfg : Config.t) g ~sequence ~window_start =
     match !best with
     | None -> raise Config.Deadline_unmeetable
     | Some (col, _) ->
-        cols.(t) <- col;
-        tsum := !tsum +. ctx.dur.(t).(col)
+        commit c ~col;
+        tsum := !tsum +. dur.(t).(col)
   done;
-  Assignment.of_list g (Array.to_list cols)
-
+  Assignment.of_list g (Array.to_list c.cols)

@@ -10,17 +10,22 @@
 
     {2 Incremental evaluation}
 
-    The default entry points evaluate consecutive trials at one tagged
-    position incrementally: per-position prefix/suffix aggregates plus
-    a precomputed upgrade schedule turn each trial into O(1) patches of
-    a live scratch state instead of O(n) rescans (derivation in
-    DESIGN.md §9).  The walk relies on every task's durations rising
-    with the column index, which {!Batsched_taskgraph.Task.make}
-    guarantees.  The seed per-trial implementation is the test oracle
-    (test/oracle/choose.ml); the property tests pin selection identity
-    on the published instances and on random DAGs, and metric
-    agreement to within 1e-9 (the only deviation is
-    compensated-summation rounding, a few ulps). *)
+    One call costs O(n·m·log n).  With S = m-1-ws, the upgrade loop's
+    steps sit in fixed slots: the task of energy rank r owns slots
+    r·S .. r·S+S-1, and a slot is live while its task is free.  A
+    segment tree over the slots carries the hypothetical completion
+    across tagged positions: each trial is one root-to-leaf descent
+    for the smallest applied prefix that meets the deadline, and moving
+    to the next position rewrites the slots of two tasks.  The
+    per-graph tables are built once per graph and cached per domain
+    (derivation in DESIGN.md §9).  The descent relies on no upgrade
+    step lengthening a task, i.e. on durations rising with the column
+    index, which {!Batsched_taskgraph.Task.make} guarantees.  The seed
+    per-trial
+    implementation is the test oracle (test/oracle/choose.ml); the
+    property tests pin selection identity on the published instances
+    and on random DAGs, and metric agreement to within 1e-9 (the only
+    deviation is summation rounding, a few ulps). *)
 
 open Batsched_taskgraph
 open Batsched_sched

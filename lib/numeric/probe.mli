@@ -33,7 +33,10 @@ type t = {
   mutable fmemo_misses : int;     (** Series F-memo table misses *)
   mutable contrib_hits : int;     (** per-interval contribution cache hits *)
   mutable contrib_misses : int;   (** per-interval contribution cache misses *)
-  mutable dpf_steps : int;        (** CalculateDPF upgrade-loop steps *)
+  mutable dpf_steps : int;
+      (** CalculateDPF upgrade-loop steps: per tagged position, the
+          steps a forward walk from the previous trial's completion
+          would apply (the rise in the applied step count, summed) *)
   mutable window_evals : int;     (** windows evaluated (choose + cost) *)
   mutable choose_calls : int;     (** [Choose.choose_design_points] calls *)
   mutable iterations : int;       (** outer iterations of the main loop *)

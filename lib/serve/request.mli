@@ -41,7 +41,12 @@ val model : search -> Model.t
 
 val of_json : string -> (incoming, string) result
 (** Parse and validate one request line.  A request that parses always
-    runs: unknown algos/models, non-positive deadlines, a [beta] or
-    [t0] that is not positive and finite, knob counts below 1 and
-    malformed graphs are rejected here with a message suitable for an
-    error response. *)
+    runs, and runs bounded work: unknown algos/models, a [deadline],
+    [beta] or [t0] that is not positive and finite, and malformed
+    graphs are rejected here with a message suitable for an error
+    response.  The count knobs must be integers within these caps, and
+    the error message names the range:
+    - [seed] in [\[0, 1073741823\]] (2{^30} - 1);
+    - [starts] in [\[1, 64\]];
+    - [steps] in [\[1, 10000\]];
+    - [samples] in [\[1, 10000\]]. *)

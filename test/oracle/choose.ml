@@ -1,10 +1,10 @@
 (* The seed ChooseDesignPoints / CalculateDPF: every trial column
    rescans the whole sequence (O(n) sums) and reruns the upgrade loop
    from scratch.  Oracle for [Batsched.Choose], whose production path
-   evaluates consecutive trials incrementally; selection must be
-   identical and the metrics must agree to within 1e-9.  It bumps the
-   [choose_calls] and [dpf_steps] counters as the production path
-   does, so bench rows report the work each path did. *)
+   carries the hypothetical completion across tagged positions;
+   selection must be identical and the metrics must agree to within
+   1e-9.  It bumps the [choose_calls] and [dpf_steps] counters as the
+   production path does, so bench rows report the work each path did. *)
 
 open Batsched_numeric
 open Batsched_taskgraph

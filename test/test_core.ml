@@ -230,6 +230,129 @@ let test_calculate_dpf_rejects_unparked_prefix () =
         (Batsched.Choose.calculate_dpf cfg g ~sequence:seq ~assignment:a
            ~tagged_pos:2 ~window_start:0))
 
+(* Edge shapes of the carried completion, each against the seed
+   oracle: one task (no free prefix at all), two tasks (one free task
+   and no free pair), and the narrowest window (no upgrade step). *)
+let choose_outcome f =
+  match f () with
+  | a -> Ok (Assignment.to_list a)
+  | exception e -> Error (Printexc.to_string e)
+
+let check_choose_vs_oracle name cfg g ~sequence ~window_start =
+  Alcotest.(check (result (list int) string))
+    name
+    (choose_outcome (fun () ->
+         Batsched_oracle.Choose.choose_design_points cfg g ~sequence
+           ~window_start))
+    (choose_outcome (fun () ->
+         Batsched.Choose.choose_design_points cfg g ~sequence ~window_start))
+
+let check_dpf_vs_oracle name cfg g ~sequence ~assignment ~tagged_pos
+    ~window_start =
+  let r =
+    Batsched.Choose.calculate_dpf cfg g ~sequence ~assignment ~tagged_pos
+      ~window_start
+  in
+  let r' =
+    Batsched_oracle.Choose.calculate_dpf cfg g ~sequence ~assignment
+      ~tagged_pos ~window_start
+  in
+  let close what a b =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s %s %g vs %g" name what a b)
+      true
+      ((a = Float.infinity && b = Float.infinity) || Float.abs (a -. b) <= 1e-9)
+  in
+  close "dpf" r'.Batsched.Choose.dpf r.Batsched.Choose.dpf;
+  close "enr" r'.Batsched.Choose.enr r.Batsched.Choose.enr;
+  close "cif" r'.Batsched.Choose.cif r.Batsched.Choose.cif;
+  Alcotest.(check (list int))
+    (name ^ " hypothetical")
+    (Assignment.to_list r'.Batsched.Choose.hypothetical)
+    (Assignment.to_list r.Batsched.Choose.hypothetical)
+
+let test_choose_single_task () =
+  let g =
+    Graph.make ~edges:[]
+      [ Task.of_pairs ~id:0 ~name:"T1" [ (400.0, 1.0); (200.0, 2.0); (50.0, 4.0) ] ]
+  in
+  List.iter
+    (fun (deadline, want) ->
+      let cfg = Batsched.Config.make ~deadline () in
+      for ws = 0 to 2 do
+        check_choose_vs_oracle
+          (Printf.sprintf "d=%g ws=%d" deadline ws)
+          cfg g ~sequence:[ 0 ] ~window_start:ws
+      done;
+      let a =
+        Batsched.Choose.choose_design_points cfg g ~sequence:[ 0 ] ~window_start:0
+      in
+      Alcotest.(check int) (Printf.sprintf "d=%g column" deadline) want
+        (Assignment.column a 0);
+      for col = 0 to 2 do
+        check_dpf_vs_oracle
+          (Printf.sprintf "d=%g col=%d" deadline col)
+          cfg g ~sequence:[| 0 |]
+          ~assignment:(Assignment.of_list g [ col ])
+          ~tagged_pos:0 ~window_start:0
+      done)
+    [ (10.0, 2); (3.0, 1); (1.5, 0) ]
+
+let test_choose_two_tasks () =
+  (* no edge, so both orders are linearizations *)
+  let g =
+    Graph.make ~edges:[]
+      [ Task.of_pairs ~id:0 ~name:"T1" [ (400.0, 1.0); (200.0, 2.0); (50.0, 4.0) ];
+        Task.of_pairs ~id:1 ~name:"T2" [ (600.0, 2.0); (300.0, 4.0); (80.0, 8.0) ] ]
+  in
+  List.iter
+    (fun deadline ->
+      let cfg = Batsched.Config.make ~deadline () in
+      List.iter
+        (fun order ->
+          for ws = 0 to 2 do
+            let name = Printf.sprintf "d=%g ws=%d" deadline ws in
+            check_choose_vs_oracle name cfg g ~sequence:order ~window_start:ws;
+            let seq = Array.of_list order in
+            for col = ws to 2 do
+              let tagged = Assignment.of_list g [ 2; 2 ] in
+              (* tagged at 0 with the other task committed at [col], and
+                 tagged at 1 with the other task free *)
+              check_dpf_vs_oracle (name ^ " pos0") cfg g ~sequence:seq
+                ~assignment:(Assignment.set tagged seq.(1) col)
+                ~tagged_pos:0 ~window_start:ws;
+              check_dpf_vs_oracle (name ^ " pos1") cfg g ~sequence:seq
+                ~assignment:(Assignment.set tagged seq.(1) col)
+                ~tagged_pos:1 ~window_start:ws
+            done
+          done)
+        [ [ 0; 1 ]; [ 1; 0 ] ])
+    [ 3.0; 5.0; 7.0; 9.0; 12.0 ]
+
+let test_choose_narrowest_window () =
+  (* window_start = m-1 leaves no upgrade step: every feasible tagging
+     has DPF 0, and an infeasible one raises like the oracle *)
+  let g = diamond () in
+  List.iter
+    (fun deadline ->
+      let cfg = Batsched.Config.make ~deadline () in
+      check_choose_vs_oracle (Printf.sprintf "d=%g" deadline) cfg g
+        ~sequence:[ 0; 2; 1; 3 ] ~window_start:2;
+      for tagged_pos = 0 to 3 do
+        check_dpf_vs_oracle
+          (Printf.sprintf "d=%g pos=%d" deadline tagged_pos)
+          cfg g ~sequence:[| 0; 2; 1; 3 |]
+          ~assignment:(Assignment.all_lowest_power g) ~tagged_pos
+          ~window_start:2
+      done)
+    [ 20.0; 28.0; 40.0 ];
+  let cfg = Batsched.Config.make ~deadline:40.0 () in
+  let r =
+    Batsched.Choose.calculate_dpf cfg g ~sequence:[| 0; 2; 1; 3 |]
+      ~assignment:(Assignment.all_lowest_power g) ~tagged_pos:2 ~window_start:2
+  in
+  check_float "dpf" 0.0 r.Batsched.Choose.dpf
+
 (* --- Iterate on the published instances --- *)
 
 let test_iterate_g3_shape () =
@@ -740,29 +863,93 @@ let prop_calculate_dpf_metrics_match =
     (fun ((g, deadline), seed) ->
       let cfg = Batsched.Config.make ~deadline () in
       let rng = Batsched_numeric.Rng.create (seed + 1) in
-      let seq = Array.of_list (Priorities.sequence_dec_energy g) in
-      let n = Array.length seq in
+      let n = Graph.num_tasks g in
       let ws = Batsched.Window.initial_window_start cfg g in
       let close a b =
         (a = Float.infinity && b = Float.infinity) || Float.abs (a -. b) <= 1e-9
       in
+      let agrees seq tagged_pos =
+        let a = random_dpf_state rng g ~window_start:ws ~tagged_pos seq in
+        let r =
+          Batsched.Choose.calculate_dpf cfg g ~sequence:seq ~assignment:a
+            ~tagged_pos ~window_start:ws
+        in
+        let r' =
+          Batsched_oracle.Choose.calculate_dpf cfg g ~sequence:seq
+            ~assignment:a ~tagged_pos ~window_start:ws
+        in
+        close r.Batsched.Choose.dpf r'.Batsched.Choose.dpf
+        && close r.Batsched.Choose.enr r'.Batsched.Choose.enr
+        && close r.Batsched.Choose.cif r'.Batsched.Choose.cif
+        && Assignment.equal r.Batsched.Choose.hypothetical
+             r'.Batsched.Choose.hypothetical
+      in
+      (* the energy-ordered sequence and a random linearization *)
+      let by_energy = Array.of_list (Priorities.sequence_dec_energy g) in
+      let random =
+        Array.of_list (Batsched_baselines.Random_search.random_sequence ~rng g)
+      in
       List.for_all
-        (fun tagged_pos ->
-          let a = random_dpf_state rng g ~window_start:ws ~tagged_pos seq in
-          let r =
-            Batsched.Choose.calculate_dpf cfg g ~sequence:seq ~assignment:a
-              ~tagged_pos ~window_start:ws
-          in
-          let r' =
-            Batsched_oracle.Choose.calculate_dpf cfg g ~sequence:seq
-              ~assignment:a ~tagged_pos ~window_start:ws
-          in
-          close r.Batsched.Choose.dpf r'.Batsched.Choose.dpf
-          && close r.Batsched.Choose.enr r'.Batsched.Choose.enr
-          && close r.Batsched.Choose.cif r'.Batsched.Choose.cif
-          && Assignment.equal r.Batsched.Choose.hypothetical
-               r'.Batsched.Choose.hypothetical)
-        (List.init n Fun.id))
+        (fun seq -> List.for_all (agrees seq) (List.init n Fun.id))
+        [ by_energy; random ])
+
+(* Random DAGs of 1-96 tasks built from three shared design-point
+   templates, each with repeated columns: equal average energies (the
+   energy order falls back to ids), zero-length upgrade steps and equal
+   currents all at once, under a random linearization and a deadline
+   anywhere between the all-fastest and all-slowest serial times. *)
+let tie_heavy_case seed =
+  let module Rng = Batsched_numeric.Rng in
+  let rng = Rng.create seed in
+  let n = 1 + Rng.int rng 96 and m = 2 + Rng.int rng 4 in
+  let template () =
+    let pts = Array.make m (float_of_int (3 + Rng.int rng 3) *. 100.0,
+                            float_of_int (1 + Rng.int rng 2)) in
+    for j = 1 to m - 1 do
+      let c, d = pts.(j - 1) in
+      pts.(j) <-
+        (match Rng.int rng 3 with
+         | 0 -> (c, d)
+         | 1 -> (c, d +. 1.0)
+         | _ -> (c *. 0.5, d +. float_of_int (1 + Rng.int rng 2)))
+    done;
+    Array.to_list pts
+  in
+  let templates = Array.init 3 (fun _ -> template ()) in
+  let tasks =
+    List.init n (fun id ->
+        Task.of_pairs ~id ~name:(Printf.sprintf "T%d" id)
+          templates.(Rng.int rng 3))
+  in
+  let p = 3.0 /. float_of_int n in
+  let edges =
+    List.concat
+      (List.init n (fun j ->
+           List.filter_map
+             (fun i -> if Rng.float rng 1.0 < p then Some (i, j) else None)
+             (List.init j Fun.id)))
+  in
+  let g = Graph.make ~edges tasks in
+  let lo = Analysis.column_time g 0 and hi = Analysis.column_time g (m - 1) in
+  let deadline = lo +. (Rng.float rng 1.0 *. (hi -. lo)) in
+  (g, deadline, Batsched_baselines.Random_search.random_sequence ~rng g)
+
+let prop_choose_tie_heavy_matches_reference =
+  QCheck.Test.make ~count:150
+    ~name:"choose matches the reference on tie-heavy random DAGs"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let g, deadline, seq = tie_heavy_case seed in
+      let cfg = Batsched.Config.make ~deadline () in
+      List.for_all
+        (fun ws ->
+          choose_outcome (fun () ->
+              Batsched.Choose.choose_design_points cfg g ~sequence:seq
+                ~window_start:ws)
+          = choose_outcome (fun () ->
+                Batsched_oracle.Choose.choose_design_points cfg g
+                  ~sequence:seq ~window_start:ws))
+        (List.init (Graph.num_points g) Fun.id))
 
 (* --- parallel paths vs the sequential reference --- *)
 
@@ -833,6 +1020,79 @@ let prop_parallel_multistart_matches_sequential =
            b.Batsched.Iterate.schedule.Schedule.assignment
       && Float.equal a.Batsched.Iterate.sigma b.Batsched.Iterate.sigma)
 
+(* Choose caches its per-graph tables per domain, keyed on the graph
+   value: interleaving graphs on one domain — including one with the
+   same shape as another but different design points — or spreading
+   windows over a pool must commit exactly what a fresh domain, with an
+   empty cache, commits. *)
+let test_choose_table_cache () =
+  let a = Instances.g3 in
+  let b =
+    Graph.map_tasks
+      (fun t ->
+        Task.make ~id:t.Task.id ~name:t.Task.name
+          (Array.to_list
+             (Array.map
+                (fun p -> { p with Task.duration = p.Task.duration *. 1.5 })
+                t.Task.points)))
+      a
+  in
+  let c = Instances.g2 in
+  let deadline g = if g == a then 230.0 else if g == b then 345.0 else 75.0 in
+  let choose g =
+    let cfg = Batsched.Config.make ~deadline:(deadline g) () in
+    Assignment.to_list
+      (Batsched.Choose.choose_design_points cfg g
+         ~sequence:(Priorities.sequence_dec_energy g) ~window_start:0)
+  in
+  let windows pool g =
+    let cfg = Batsched.Config.make ~pool ~deadline:(deadline g) () in
+    List.map
+      (fun (r : Batsched.Window.window_result) ->
+        (r.window_start, Assignment.to_list r.assignment))
+      (Batsched.Window.evaluate cfg g
+         ~sequence:(Priorities.sequence_dec_energy g)).Batsched.Window.per_window
+  in
+  let fresh f = Domain.join (Domain.spawn f) in
+  let order = [ a; b; a; c; a ] in
+  List.iteri
+    (fun i g ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "choose %d" i)
+        (fresh (fun () -> choose g))
+        (choose g))
+    order;
+  List.iteri
+    (fun i g ->
+      Alcotest.(check (list (pair int (list int))))
+        (Printf.sprintf "pooled windows %d" i)
+        (fresh (fun () -> windows Batsched_numeric.Pool.sequential g))
+        (windows parallel_pool g))
+    order
+
+(* The paper loop's deterministic Choose work on the published
+   instances.  [dpf_steps] counts the steps a forward walk from the
+   previous trial's completion would apply, so a changed feasibility
+   decision anywhere moves it. *)
+let test_choose_counters_pinned () =
+  let module Probe = Batsched_numeric.Probe in
+  List.iter
+    (fun (g, deadline, calls, steps) ->
+      let before = Probe.totals () in
+      ignore (Batsched.Iterate.run (Batsched.Config.make ~deadline ()) g);
+      let after = Probe.totals () in
+      let name = Printf.sprintf "%s@%g" (Graph.label g) deadline in
+      Alcotest.(check int) (name ^ " choose_calls") calls
+        (after.Probe.choose_calls - before.Probe.choose_calls);
+      Alcotest.(check int) (name ^ " dpf_steps") steps
+        (after.Probe.dpf_steps - before.Probe.dpf_steps))
+    [ (Instances.g2, 55.0, 2, 168);
+      (Instances.g2, 75.0, 4, 252);
+      (Instances.g2, 95.0, 6, 140);
+      (Instances.g3, 100.0, 2, 728);
+      (Instances.g3, 150.0, 4, 1215);
+      (Instances.g3, 230.0, 12, 1229) ]
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_iterate_always_feasible;
@@ -840,6 +1100,7 @@ let qcheck_tests =
       prop_choose_within_window;
       prop_choose_incremental_matches_reference;
       prop_calculate_dpf_metrics_match;
+      prop_choose_tie_heavy_matches_reference;
       prop_parallel_multistart_matches_sequential ]
 
 let () =
@@ -865,7 +1126,11 @@ let () =
           Alcotest.test_case "dpf upgrades low energy first" `Quick test_calculate_dpf_upgrades_low_energy_first;
           Alcotest.test_case "dpf infeasible infinite" `Quick test_calculate_dpf_infeasible_is_infinite;
           Alcotest.test_case "dpf last-task slack rule" `Quick test_calculate_dpf_last_task_slack_rule;
-          Alcotest.test_case "dpf rejects unparked prefix" `Quick test_calculate_dpf_rejects_unparked_prefix ] );
+          Alcotest.test_case "dpf rejects unparked prefix" `Quick test_calculate_dpf_rejects_unparked_prefix;
+          Alcotest.test_case "single task" `Quick test_choose_single_task;
+          Alcotest.test_case "two tasks" `Quick test_choose_two_tasks;
+          Alcotest.test_case "narrowest window" `Quick test_choose_narrowest_window;
+          Alcotest.test_case "table cache" `Quick test_choose_table_cache ] );
       ( "iterate",
         [ Alcotest.test_case "G3 shape" `Quick test_iterate_g3_shape;
           Alcotest.test_case "G3 beats first iteration" `Quick test_iterate_g3_beats_first_iteration;
@@ -880,7 +1145,8 @@ let () =
       ( "regression",
         [ Alcotest.test_case "published points pinned" `Quick test_published_points_pinned;
           Alcotest.test_case "incremental matches reference on instances" `Quick
-            test_choose_incremental_matches_reference_instances ] );
+            test_choose_incremental_matches_reference_instances;
+          Alcotest.test_case "choose counters pinned" `Quick test_choose_counters_pinned ] );
       ( "preprocessing",
         [ Alcotest.test_case "reduction preserves result" `Quick test_transitive_reduction_preserves_result ] );
       ( "polish",

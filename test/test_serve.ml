@@ -88,6 +88,61 @@ let test_parse_rejects_t0 () =
         (request_line ~extra:(",\"t0\":" ^ v) ()))
     [ "-5"; "0"; "1e400" ]
 
+(* Every accepted request must do bounded work: a non-finite deadline
+   and count knobs that are fractional or outside their caps are
+   rejected, each message naming the accepted range. *)
+let line_with ~deadline ~seed ~extra =
+  Printf.sprintf
+    "{\"id\":\"r1\",\"deadline\":%s,\"algo\":\"iterative-ms\",\"seed\":%s%s,\
+     \"graph\":\"%s\"}"
+    deadline seed extra
+    (Batsched_obs.Json.escape_string graph_src)
+
+let test_parse_rejects_infinite_deadline () =
+  List.iter
+    (fun v ->
+      expect_message ("deadline " ^ v) "deadline must be positive and finite"
+        (line_with ~deadline:v ~seed:"7" ~extra:""))
+    [ "1e999"; "-1e999"; "0" ]
+
+let test_parse_rejects_bad_seed () =
+  List.iter
+    (fun v ->
+      expect_message ("seed " ^ v) "seed must be an integer in [0, 1073741823]"
+        (line_with ~deadline:"12" ~seed:v ~extra:""))
+    [ "2.5"; "-1"; "1073741824"; "1e999" ]
+
+let expect_knob_rejected knob want values =
+  List.iter
+    (fun v ->
+      expect_message (knob ^ " " ^ v) want
+        (line_with ~deadline:"12" ~seed:"7"
+           ~extra:(Printf.sprintf ",\"%s\":%s" knob v)))
+    values
+
+let test_parse_rejects_bad_starts () =
+  expect_knob_rejected "starts" "starts must be an integer in [1, 64]"
+    [ "2.7"; "0"; "65"; "1e30" ]
+
+let test_parse_rejects_bad_steps () =
+  expect_knob_rejected "steps" "steps must be an integer in [1, 10000]"
+    [ "1.5"; "0"; "10001"; "1e30" ]
+
+let test_parse_rejects_bad_samples () =
+  expect_knob_rejected "samples" "samples must be an integer in [1, 10000]"
+    [ "3.5"; "0"; "10001"; "1e30" ]
+
+let test_parse_accepts_caps () =
+  List.iter
+    (fun (seed, extra) ->
+      match Request.of_json (line_with ~deadline:"12" ~seed ~extra) with
+      | Ok (Request.Submit _) -> ()
+      | Ok (Request.Cancel _) -> Alcotest.fail "parsed as cancel"
+      | Error msg -> Alcotest.fail (msg ^ ": " ^ seed ^ extra))
+    [ ("0", ",\"starts\":1,\"steps\":1,\"samples\":1");
+      ("1073741823", ",\"starts\":64,\"steps\":10000,\"samples\":10000");
+      ("7.0", ",\"starts\":2.0") ]
+
 (* --- daemon end-to-end --- *)
 
 let with_daemon ?(capacity = 64) ?(pool_size = 4) ?(events = Events.noop)
@@ -275,7 +330,15 @@ let () =
           Alcotest.test_case "parse cancel" `Quick test_parse_cancel;
           Alcotest.test_case "rejects" `Quick test_parse_rejects;
           Alcotest.test_case "rejects bad beta" `Quick test_parse_rejects_beta;
-          Alcotest.test_case "rejects bad t0" `Quick test_parse_rejects_t0 ] );
+          Alcotest.test_case "rejects bad t0" `Quick test_parse_rejects_t0;
+          Alcotest.test_case "rejects infinite deadline" `Quick
+            test_parse_rejects_infinite_deadline;
+          Alcotest.test_case "rejects bad seed" `Quick test_parse_rejects_bad_seed;
+          Alcotest.test_case "rejects bad starts" `Quick test_parse_rejects_bad_starts;
+          Alcotest.test_case "rejects bad steps" `Quick test_parse_rejects_bad_steps;
+          Alcotest.test_case "rejects bad samples" `Quick
+            test_parse_rejects_bad_samples;
+          Alcotest.test_case "accepts the caps" `Quick test_parse_accepts_caps ] );
       ( "daemon",
         [ Alcotest.test_case "mixed batch" `Quick test_daemon_mixed_batch;
           Alcotest.test_case "bit-identical to single-shot" `Quick
