@@ -23,16 +23,14 @@
                           (--normalize divides out overall machine speed;
                            exits 1 on a confident regression)
 
-   Telemetry sinks: --metrics FILE writes an OpenMetrics exposition,
-   --ledger DIR records a run manifest (wall time, counters, git rev)
-   to the run registry; BATSCHED_METRICS / BATSCHED_LEDGER are the
-   env equivalents. *)
+   Telemetry: --stats, --trace FILE, --metrics FILE and --ledger DIR
+   fill Batsched_obs.Run.opts, the run scope every executable shares
+   (lib/obs/run.mli lists the BATSCHED_* env equivalents). *)
 
 open Bechamel
 open Toolkit
 
-(* Observability: --stats prints a counter/timing report, --trace FILE
-   dumps a Chrome trace.  Reproduction and smoke scenarios run under a
+(* The run's span sink.  Reproduction and smoke scenarios run under a
    span each, so the trace shows where a full bench run spends time. *)
 let obs = ref Batsched_obs.Sink.noop
 
@@ -730,17 +728,7 @@ let run_timing () =
 
 (* --- JSON dump: one row per benchmark, for cross-PR tracking --- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module J = Batsched_obs.Json
 
 let json_float x =
   if Float.is_finite x then Printf.sprintf "%.1f" x else "null"
@@ -767,7 +755,7 @@ let json_counters row =
      attribution per battery model *)
   let named =
     List.map
-      (fun (name, v) -> Printf.sprintf "\"%s\": %d" (json_escape name) v)
+      (fun (name, v) -> Printf.sprintf "\"%s\": %d" (J.escape_string name) v)
       (Batsched_numeric.Probe.named_counts c)
   in
   let rate hits misses =
@@ -797,17 +785,7 @@ let json_counters row =
   "{" ^ String.concat ", " (fields @ named @ derived) ^ "}"
 
 (* Provenance header: which commit produced the file and how wide the
-   recommended pool is on this machine.  [git_rev] degrades to
-   "unknown" outside a work tree (e.g. a distributed tarball). *)
-let git_rev () =
-  try
-    let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-    let line = try input_line ic with End_of_file -> "" in
-    match Unix.close_process_in ic with
-    | Unix.WEXITED 0 when line <> "" -> line
-    | _ -> "unknown"
-  with Unix.Unix_error _ | Sys_error _ -> "unknown"
-
+   recommended pool is on this machine. *)
 let write_json path rows profile =
   let oc =
     try open_out path
@@ -816,7 +794,7 @@ let write_json path rows profile =
       exit 2
   in
   Printf.fprintf oc "{\n  \"git_rev\": \"%s\",\n  \"pool_size\": %d,\n"
-    (json_escape (git_rev ()))
+    (J.escape_string (Batsched_obs.Ledger.git_rev ()))
     (Batsched_numeric.Pool.recommended ());
   output_string oc "  \"rows\": [\n";
   List.iteri
@@ -837,7 +815,7 @@ let write_json path rows profile =
       in
       Printf.fprintf oc
         "    {\"name\": \"%s\", \"ns_per_run\": %s, \"r_square\": %s%s%s%s}%s\n"
-        (json_escape r.tname) (json_float r.ns_per_run)
+        (J.escape_string r.tname) (json_float r.ns_per_run)
         (if Float.is_finite r.r_square then
            Printf.sprintf "%.4f" r.r_square
          else "null")
@@ -896,26 +874,13 @@ let () =
   (match args with
   | "--compare" :: rest -> run_compare rest; exit 0
   | _ -> ());
-  Batsched_obs.Log.init_from_env ();
   let json_out, args = extract_opt "--json" args in
-  let trace_out, args = extract_opt "--trace" args in
-  let metrics_out, args = extract_opt "--metrics" args in
-  let ledger_out, args = extract_opt "--ledger" args in
+  let trace, args = extract_opt "--trace" args in
+  let metrics, args = extract_opt "--metrics" args in
+  let ledger, args = extract_opt "--ledger" args in
   let stats, args = extract_flag "--stats" args in
-  let stats = stats || Batsched_obs.Log.env_stats () in
-  let metrics_out =
-    match metrics_out with
-    | Some _ -> metrics_out
-    | None -> Batsched_obs.Log.env_opt "BATSCHED_METRICS"
-  in
-  let ledger_out =
-    match ledger_out with
-    | Some _ -> ledger_out
-    | None -> Batsched_obs.Log.env_opt "BATSCHED_LEDGER"
-  in
-  let wall0 = Unix.gettimeofday () in
-  if stats || trace_out <> None then obs := Batsched_obs.Sink.create ();
-  if stats || metrics_out <> None then Batsched_obs.Histogram.enable ();
+  let run = Batsched_obs.Run.start { stats; trace; metrics; ledger } in
+  obs := Batsched_obs.Run.sink run;
   (* fail on an unwritable --json target now, not after minutes of timing *)
   (match json_out with
   | Some path -> (
@@ -941,49 +906,16 @@ let () =
         run_reproductions names;
         None
   in
-  (* report/trace before the work profile: work_profile resets counters *)
-  if stats then begin
-    print_newline ();
-    print_string (Batsched_obs.Report.to_string !obs)
-  end;
-  (match trace_out with
-  | Some out ->
-      Batsched_obs.Trace.write !obs out;
-      Printf.printf
-        "wrote trace to %s (load it in chrome://tracing or ui.perfetto.dev)\n%!"
-        out
-  | None -> ());
-  (match metrics_out with
-  | Some out ->
-      Batsched_obs.Openmetrics.write_file out;
-      Printf.printf "wrote OpenMetrics exposition to %s\n%!" out
-  | None -> ());
-  (match (json_out, rows) with
+  (* the run's counters go to the stats report, exposition and ledger
+     before the work profile, which re-counts scenario by scenario *)
+  let mode = match args with [] -> "all" | parts -> String.concat "+" parts in
+  Batsched_obs.Run.finish ~tool:"bench" ~label:mode
+    ~pool_size:(Batsched_numeric.Pool.recommended ())
+    ~knobs:
+      [ ("mode", mode);
+        ("scenarios", string_of_int (List.length scenarios));
+        ("json", Option.value ~default:"" json_out) ]
+    run;
+  match (json_out, rows) with
   | Some path, Some rows -> write_json path rows (work_profile ())
-  | _ -> ());
-  match ledger_out with
-  | None -> ()
-  | Some dir -> (
-      let mode = match args with [] -> "all" | parts -> String.concat "+" parts in
-      let spec =
-        { Batsched_obs.Ledger.tool = "bench";
-          label = mode;
-          instance = "";
-          instance_hash = "";
-          model = "";
-          seed = 0;
-          pool_size = Batsched_numeric.Pool.recommended ();
-          knobs =
-            [ ("mode", mode);
-              ("scenarios", string_of_int (List.length scenarios));
-              ("json", match json_out with Some p -> p | None -> "") ];
-          wall_s = Unix.gettimeofday () -. wall0;
-          sigma = None;
-          finish = None;
-          events_path = None;
-          curve = [] }
-      in
-      match Batsched_obs.Ledger.record ~dir spec with
-      | Ok id -> Printf.printf "ledger: recorded %s in %s\n%!" id dir
-      | Error msg ->
-          Printf.eprintf "bench: [warn] ledger write failed: %s\n%!" msg)
+  | _ -> ()

@@ -10,11 +10,8 @@
           basched profile A B [--ledger DIR] [--axis time|evals]
           basched watch [FILE | --last] [--replay] [--interval MS]
 
-   Environment: BATSCHED_LOG=debug|info|warn|error sets the log level,
-   BATSCHED_STATS=1 implies --stats, and BATSCHED_EVENTS / BATSCHED_METRICS /
-   BATSCHED_LEDGER are the flag equivalents of --events / --metrics /
-   --ledger — all for cram tests and CI, where threading flags through
-   harnesses is awkward. *)
+   The telemetry flags and their BATSCHED_* environment equivalents
+   are described in lib/obs/run.mli. *)
 
 open Cmdliner
 open Batsched_taskgraph
@@ -84,62 +81,16 @@ let emit_terminal_records events (sol : Solution.t) =
         ("finish", Obs.Events.F sol.Solution.finish) ]
   end
 
-let record_ledger ~dir ~path ~algo ~beta ~seed ~pool_n ~deadline ~polish
-    ~events_out ~wall_s ~events (sol : Solution.t) =
-  let curve = Obs.Profile.curve_of_events (Obs.Events.snapshot events) in
-  let spec =
-    { Obs.Ledger.tool = "basched";
-      label = algo;
-      instance = path;
-      instance_hash =
-        (try Digest.to_hex (Digest.file path) with Sys_error _ -> "");
-      model = "rakhmatov";
-      seed;
-      pool_size = pool_n;
-      knobs =
-        [ ("algo", algo);
-          ("beta", Printf.sprintf "%g" beta);
-          ("deadline", Printf.sprintf "%g" deadline);
-          ("polish", string_of_bool polish) ];
-      wall_s;
-      sigma = Some sol.Solution.sigma;
-      finish = Some sol.Solution.finish;
-      events_path = events_out;
-      curve }
-  in
-  match Obs.Ledger.record ~dir spec with
-  | Ok id -> Printf.printf "ledger: recorded %s in %s\n" id dir
-  | Error msg -> Printf.eprintf "basched: [warn] ledger write failed: %s\n" msg
-
 let run_file path deadline algo beta seed pool_n iterations chart polish
-    verbose stats trace_out events_out metrics_out ledger_opt dot_out =
-  Obs.Log.init_from_env ();
+    verbose opts events_out dot_out =
+  let run = Obs.Run.start opts in
   if verbose then Obs.Log.set_level Obs.Log.Debug;
-  let stats = stats || Obs.Log.env_stats () in
+  let obs = Obs.Run.sink run in
   let events_out =
     match events_out with
     | Some _ -> events_out
-    | None -> Obs.Log.env_opt "BATSCHED_EVENTS"
+    | None -> Obs.Run.env "BATSCHED_EVENTS"
   in
-  let metrics_out =
-    match metrics_out with
-    | Some _ -> metrics_out
-    | None -> Obs.Log.env_opt "BATSCHED_METRICS"
-  in
-  let ledger_dir =
-    match ledger_opt with
-    | Some _ -> ledger_opt
-    | None -> Obs.Log.env_opt "BATSCHED_LEDGER"
-  in
-  (* Work counters are always on; an active sink additionally records
-     phase span timers for --stats and --trace. *)
-  let obs =
-    if stats || trace_out <> None then Obs.Sink.create ()
-    else Obs.Sink.noop
-  in
-  (* Histograms feed the --stats quantile block and the OpenMetrics
-     exposition; off otherwise (one branch per observation site). *)
-  if stats || metrics_out <> None then Obs.Histogram.enable ();
   match
     (try Ok (load_graph path) with
     | Textio.Parse_error { line; message }
@@ -177,10 +128,9 @@ let run_file path deadline algo beta seed pool_n iterations chart polish
         match events_out with
         | Some out -> Obs.Events.create out
         | None ->
-            if ledger_dir <> None then Obs.Events.create_memory ()
+            if Obs.Run.recording run then Obs.Events.create_memory ()
             else Obs.Events.noop
       in
-      let wall0 = Unix.gettimeofday () in
       (* closed on every path so the records reach disk *)
       Fun.protect ~finally:(fun () -> Obs.Events.close events)
       @@ fun () ->
@@ -218,36 +168,15 @@ let run_file path deadline algo beta seed pool_n iterations chart polish
         in
         emit_terminal_records events sol;
         report ~chart g sol;
-        if stats then begin
-          print_newline ();
-          print_string (Obs.Report.to_string obs)
-        end;
-        (match trace_out with
-        | Some out ->
-            Obs.Trace.write obs out;
-            Printf.printf
-              "wrote trace to %s (load it in chrome://tracing or \
-               ui.perfetto.dev)\n"
-              out
-        | None -> ());
-        (match events_out with
-        | Some out ->
-            Printf.printf
-              "wrote convergence events to %s (render with basched report)\n"
-              out
-        | None -> ());
-        (match metrics_out with
-        | Some out ->
-            Obs.Openmetrics.write_file out;
-            Printf.printf "wrote OpenMetrics exposition to %s\n" out
-        | None -> ());
-        (match ledger_dir with
-        | Some dir ->
-            record_ledger ~dir ~path ~algo ~beta ~seed ~pool_n ~deadline
-              ~polish ~events_out
-              ~wall_s:(Unix.gettimeofday () -. wall0)
-              ~events sol
-        | None -> ());
+        Obs.Run.finish run ~events ?events_path:events_out ~tool:"basched"
+          ~label:algo ~instance:path ~model:"rakhmatov" ~seed
+          ~pool_size:pool_n ~sigma:sol.Solution.sigma
+          ~makespan:sol.Solution.finish
+          ~knobs:
+            [ ("algo", algo);
+              ("beta", Printf.sprintf "%g" beta);
+              ("deadline", Printf.sprintf "%g" deadline);
+              ("polish", string_of_bool polish) ];
         Ok ()
       with
       | Batsched.Config.Deadline_unmeetable | Dp_energy.Infeasible
@@ -291,17 +220,6 @@ let iterations_arg =
   Arg.(value & flag
        & info [ "iterations" ] ~doc:"Print per-iteration details.")
 
-let stats_arg =
-  Arg.(value & flag
-       & info [ "stats" ]
-           ~doc:"Print a work-counter table and per-phase timing report.")
-
-let trace_arg =
-  Arg.(value & opt (some string) None
-       & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Write a Chrome trace-event JSON file of the run \
-                 (chrome://tracing / Perfetto).")
-
 let events_arg =
   Arg.(value & opt (some string) None
        & info [ "events" ] ~docv:"FILE"
@@ -309,19 +227,6 @@ let events_arg =
                  anneal level / iteration / trial; see EXPERIMENTS.md for \
                  the schema).  Render with basched report, or tail live \
                  with basched watch.")
-
-let metrics_arg =
-  Arg.(value & opt (some string) None
-       & info [ "metrics" ] ~docv:"FILE"
-           ~doc:"Write an OpenMetrics (Prometheus text format) exposition \
-                 of all counters, histograms and GC gauges after the run.")
-
-let ledger_arg =
-  Arg.(value & opt (some string) None
-       & info [ "ledger" ] ~docv:"DIR"
-           ~doc:"Record a run manifest (provenance, outcome, counters, \
-                 convergence curve) in this ledger directory.  Inspect \
-                 with basched runs / basched profile.")
 
 let chart_arg =
   Arg.(value & flag
@@ -797,22 +702,19 @@ let serve_main fixture pool_n capacity terminal_only stats metrics_out gen
 
 (* --- command wiring --- *)
 
+let ret_of = function Ok () -> `Ok () | Error msg -> `Error (false, msg)
+
 let run_term =
   Term.(
     const
       (fun file deadline algo beta seed pool iterations chart polish verbose
-           stats trace events metrics ledger dot ->
-        match
-          run_file file deadline algo beta seed pool iterations chart polish
-            verbose stats trace events metrics ledger dot
-        with
-        | Ok () -> `Ok ()
-        | Error msg -> `Error (false, msg))
+           opts events dot ->
+        ret_of
+          (run_file file deadline algo beta seed pool iterations chart polish
+             verbose opts events dot))
     $ file_arg $ deadline_arg $ algo_arg $ beta_arg $ seed_arg $ pool_arg
-    $ iterations_arg $ chart_arg $ polish_arg $ verbose_arg $ stats_arg
-    $ trace_arg $ events_arg $ metrics_arg $ ledger_arg $ dot_arg)
-
-let ret_of = function Ok () -> `Ok () | Error msg -> `Error (false, msg)
+    $ iterations_arg $ chart_arg $ polish_arg $ verbose_arg $ Obs.Run.term
+    $ events_arg $ dot_arg)
 
 let report_cmd =
   let events_file_arg =
@@ -938,6 +840,20 @@ let serve_cmd =
          & info [ "json" ] ~docv:"FILE"
              ~doc:"With --soak: also write the summary as one JSON \
                    object (the CI artifact).")
+  in
+  (* serve's own --stats/--metrics: stdout is the response stream, so
+     its tables and notices go to stderr *)
+  let stats_arg =
+    Arg.(value & flag
+         & info [ "stats" ]
+             ~doc:"Print worker occupancy and request-latency quantiles on \
+                   stderr.")
+  in
+  let metrics_arg =
+    Arg.(value & opt (some string) None
+         & info [ "metrics" ] ~docv:"FILE"
+             ~doc:"Write an OpenMetrics (Prometheus text format) exposition \
+                   of all counters, histograms and GC gauges after the run.")
   in
   let gen_arg =
     Arg.(value & opt int 0

@@ -8,93 +8,20 @@
 open Cmdliner
 open Batsched_battery
 
-(* Shared observability flags: every subcommand accepts --stats and
-   --trace FILE.  The whole command body runs under one span named
-   after the subcommand, so the trace is non-trivial even though the
-   battery layer itself only bumps counters. *)
-let stats_arg =
-  Arg.(value & flag
-       & info [ "stats" ]
-           ~doc:"Print a work-counter table and timing report.")
-
-let trace_out_arg =
-  Arg.(value & opt (some string) None
-       & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Write a Chrome trace-event JSON file of the run \
-                 (chrome://tracing / Perfetto).")
-
-let metrics_out_arg =
-  Arg.(value & opt (some string) None
-       & info [ "metrics" ] ~docv:"FILE"
-           ~doc:"Write an OpenMetrics (Prometheus text format) exposition \
-                 of all counters, histograms and GC gauges.")
-
-let ledger_arg =
-  Arg.(value & opt (some string) None
-       & info [ "ledger" ] ~docv:"DIR"
-           ~doc:"Record a run manifest (tool, knobs, counters, wall time) \
-                 in this ledger directory (also via BATSCHED_LEDGER).")
-
-let with_obs ?(seed = 0) ?(pool_size = 1) ~label ~knobs stats trace_out
-    metrics_out ledger_out f =
-  Batsched_obs.Log.init_from_env ();
-  let stats = stats || Batsched_obs.Log.env_stats () in
-  let metrics_out =
-    match metrics_out with
-    | Some _ -> metrics_out
-    | None -> Batsched_obs.Log.env_opt "BATSCHED_METRICS"
+(* Every subcommand takes the shared telemetry flags (Run.term).  The
+   whole command body runs under one span named after the subcommand,
+   so the trace is non-trivial even though the battery layer itself
+   only bumps counters. *)
+let with_run ?seed ?pool_size ~label ~knobs opts f =
+  let run = Batsched_obs.Run.start opts in
+  let result =
+    Batsched_obs.Sink.with_span (Batsched_obs.Run.sink run) label f
   in
-  let ledger_out =
-    match ledger_out with
-    | Some _ -> ledger_out
-    | None -> Batsched_obs.Log.env_opt "BATSCHED_LEDGER"
-  in
-  let obs =
-    if stats || trace_out <> None then Batsched_obs.Sink.create ()
-    else Batsched_obs.Sink.noop
-  in
-  if stats || metrics_out <> None then Batsched_obs.Histogram.enable ();
-  let wall0 = Unix.gettimeofday () in
-  let result = Batsched_obs.Sink.with_span obs label f in
   (match result with
   | `Ok () ->
-      if stats then begin
-        print_newline ();
-        print_string (Batsched_obs.Report.to_string obs)
-      end;
-      (match trace_out with
-      | Some out ->
-          Batsched_obs.Trace.write obs out;
-          Printf.printf "wrote trace to %s\n" out
-      | None -> ());
-      (match metrics_out with
-      | Some out ->
-          Batsched_obs.Openmetrics.write_file out;
-          Printf.printf "wrote OpenMetrics exposition to %s\n" out
-      | None -> ());
-      (match ledger_out with
-      | Some dir -> (
-          let spec =
-            { Batsched_obs.Ledger.tool = "battsim";
-              label;
-              instance = "";
-              instance_hash = "";
-              model =
-                Option.value ~default:"" (List.assoc_opt "model" knobs);
-              seed;
-              pool_size;
-              knobs;
-              wall_s = Unix.gettimeofday () -. wall0;
-              sigma = None;
-              finish = None;
-              events_path = None;
-              curve = [] }
-          in
-          match Batsched_obs.Ledger.record ~dir spec with
-          | Ok id -> Printf.printf "ledger: recorded %s in %s\n" id dir
-          | Error msg ->
-              Printf.eprintf "battsim: [warn] ledger write failed: %s\n" msg)
-      | None -> ())
+      Batsched_obs.Run.finish ?seed ?pool_size
+        ?model:(List.assoc_opt "model" knobs)
+        ~tool:"battsim" ~label ~knobs run
   | _ -> ());
   result
 
@@ -126,13 +53,13 @@ let model_arg =
            ~doc:"rakhmatov, kibam, peukert, pde or ideal.")
 
 (* lifetime *)
-let lifetime current alpha beta model_name stats trace_out metrics_out ledger =
-  with_obs ~label:"lifetime"
+let lifetime current alpha beta model_name opts =
+  with_run ~label:"lifetime"
     ~knobs:
       [ ("model", model_name); ("current", Printf.sprintf "%g" current);
         ("alpha", Printf.sprintf "%g" alpha);
         ("beta", Printf.sprintf "%g" beta) ]
-    stats trace_out metrics_out ledger
+    opts
   @@ fun () ->
   match model_of model_name beta with
   | Error msg -> `Error (false, msg)
@@ -157,7 +84,7 @@ let lifetime_cmd =
     Term.(
       ret
         (const lifetime $ current_arg $ alpha_arg $ beta_arg $ model_arg
-         $ stats_arg $ trace_out_arg $ metrics_out_arg $ ledger_arg))
+         $ Batsched_obs.Run.term))
 
 (* sigma *)
 let parse_load s =
@@ -167,13 +94,13 @@ let parse_load s =
       with Failure _ -> Error ("bad load: " ^ s))
   | _ -> Error ("bad load (want I:D): " ^ s)
 
-let sigma loads beta idle model_name stats trace_out metrics_out ledger =
-  with_obs ~label:"sigma"
+let sigma loads beta idle model_name opts =
+  with_run ~label:"sigma"
     ~knobs:
       [ ("model", model_name); ("beta", Printf.sprintf "%g" beta);
         ("idle", Printf.sprintf "%g" idle);
         ("loads", string_of_int (List.length loads)) ]
-    stats trace_out metrics_out ledger
+    opts
   @@ fun () ->
   match model_of model_name beta with
   | Error msg -> `Error (false, msg)
@@ -219,16 +146,16 @@ let sigma_cmd =
     Term.(
       ret
         (const sigma $ loads_arg $ beta_arg $ idle_arg $ model_arg
-         $ stats_arg $ trace_out_arg $ metrics_out_arg $ ledger_arg))
+         $ Batsched_obs.Run.term))
 
 (* curve *)
-let curve current beta points model_name stats trace_out metrics_out ledger =
-  with_obs ~label:"curve"
+let curve current beta points model_name opts =
+  with_run ~label:"curve"
     ~knobs:
       [ ("model", model_name); ("current", Printf.sprintf "%g" current);
         ("beta", Printf.sprintf "%g" beta);
         ("points", string_of_int points) ]
-    stats trace_out metrics_out ledger
+    opts
   @@ fun () ->
   match model_of model_name beta with
   | Error msg -> `Error (false, msg)
@@ -255,19 +182,18 @@ let curve_cmd =
     Term.(
       ret
         (const curve $ current_arg $ beta_arg $ points_arg $ model_arg
-         $ stats_arg $ trace_out_arg $ metrics_out_arg $ ledger_arg))
+         $ Batsched_obs.Run.term))
 
 (* cycles: periodic-mission endurance *)
-let cycles current burst period alpha beta model_name stats trace_out
-    metrics_out ledger =
-  with_obs ~label:"cycles"
+let cycles current burst period alpha beta model_name opts =
+  with_run ~label:"cycles"
     ~knobs:
       [ ("model", model_name); ("current", Printf.sprintf "%g" current);
         ("burst", Printf.sprintf "%g" burst);
         ("period", Printf.sprintf "%g" period);
         ("alpha", Printf.sprintf "%g" alpha);
         ("beta", Printf.sprintf "%g" beta) ]
-    stats trace_out metrics_out ledger
+    opts
   @@ fun () ->
   match model_of model_name beta with
   | Error msg -> `Error (false, msg)
@@ -312,18 +238,16 @@ let cycles_cmd =
     Term.(
       ret
         (const cycles $ current_arg $ burst_arg $ period_arg $ alpha_arg
-         $ beta_arg $ model_arg $ stats_arg $ trace_out_arg
-         $ metrics_out_arg $ ledger_arg))
+         $ beta_arg $ model_arg $ Batsched_obs.Run.term))
 
 (* fleet: Monte Carlo endurance over a population of devices *)
-let fleet spec_path devices pool_size seed json_out events_out stats trace_out
-    metrics_out ledger =
-  with_obs ~label:"fleet" ~seed ~pool_size
+let fleet spec_path devices pool_size seed json_out events_out opts =
+  with_run ~label:"fleet" ~seed ~pool_size
     ~knobs:
       [ ("spec", Option.value ~default:"(built-in)" spec_path);
         ("devices", string_of_int devices);
         ("pool", string_of_int pool_size); ("seed", string_of_int seed) ]
-    stats trace_out metrics_out ledger
+    opts
   @@ fun () ->
   let spec =
     match spec_path with
@@ -426,8 +350,7 @@ let fleet_cmd =
     Term.(
       ret
         (const fleet $ spec_arg $ devices_arg $ pool_arg $ seed_arg
-         $ json_arg $ events_arg $ stats_arg $ trace_out_arg
-         $ metrics_out_arg $ ledger_arg))
+         $ json_arg $ events_arg $ Batsched_obs.Run.term))
 
 let main =
   Cmd.group

@@ -180,24 +180,45 @@ let observe name v = if !observing then !observer name v
 
 (* Per-domain accumulator.  Bumps are plain mutable-field increments on
    the calling domain's record: no locks, no atomics, nothing shared on
-   the hot path. *)
-let local_key : t Domain.DLS.key = Domain.DLS.new_key zero
+   the hot path.  Each record is stamped with the run generation it
+   counts for; {!reset} starts a new generation, so a persistent pool
+   worker's record from before the reset is cleared on its next
+   [local ()] and dropped by its next [drain_local] rather than leaking
+   into the new run's totals. *)
+type slot = { counts : t; mutable gen : int }
 
-let local () = Domain.DLS.get local_key
+let generation = Atomic.make 0
+
+let local_key : slot Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      { counts = zero (); gen = Atomic.get generation })
+
+let local () =
+  let s = Domain.DLS.get local_key in
+  let g = Atomic.get generation in
+  if s.gen <> g then begin
+    clear s.counts;
+    s.gen <- g
+  end;
+  s.counts
 
 (* Counts drained from finished domains.  Integer addition commutes, so
    the merged totals are independent of worker scheduling and join
-   order — deterministic for a fixed configuration. *)
+   order — deterministic for a fixed configuration.  [generation] only
+   moves under [drained_mutex], so a drain either lands before a reset
+   (and is zeroed by it) or is recognized as stale. *)
 let drained_mutex = Mutex.create ()
 
 let drained = zero ()
 
 let drain_local () =
-  let c = local () in
+  let s = Domain.DLS.get local_key in
   Mutex.lock drained_mutex;
-  add ~into:drained c;
+  let g = Atomic.get generation in
+  if s.gen = g then add ~into:drained s.counts;
   Mutex.unlock drained_mutex;
-  clear c
+  clear s.counts;
+  s.gen <- g
 
 let totals () =
   let out = zero () in
@@ -210,5 +231,5 @@ let totals () =
 let reset () =
   Mutex.lock drained_mutex;
   clear drained;
-  Mutex.unlock drained_mutex;
-  clear (local ())
+  Atomic.incr generation;
+  Mutex.unlock drained_mutex

@@ -2,8 +2,9 @@
 
     Counting is {e always on}: every bump is a plain mutable-field
     increment on the calling domain's private record, which costs a
-    {!Domain.DLS} read and an integer store — noise next to the
-    hashtable probe or float kernel it sits beside.  Nothing is shared
+    {!Domain.DLS} read, one generation load and an integer store —
+    noise next to the hashtable probe or float kernel it sits beside.
+    Nothing is shared
     between domains while work is running.
 
     {2 Merging and determinism}
@@ -23,9 +24,17 @@
     and the F-memo counts vary entirely (the Series kernel only runs on
     a contribution-cache miss).
 
-    Counters are process-global, not per-run: call {!reset} before a
-    run you want to attribute counts to.  [Batsched_obs.Report] renders
-    them; the bench harness snapshots them into its [--json] rows. *)
+    {2 Run scope}
+
+    {!reset} starts a new run: it zeroes the drained totals and bumps a
+    global generation that every domain's record is stamped with.  A
+    record from an older generation is cleared by the next {!local} on
+    its domain and dropped, not added, by the next {!drain_local} — so
+    a persistent pool worker that counted before the reset (even one
+    still inside a job when it happened) cannot leak those counts into
+    the new run's {!totals}.  [Batsched_obs.Run.start] calls {!reset};
+    [Batsched_obs.Report] renders the counters, and the bench harness
+    snapshots them into its [--json] rows. *)
 
 type t = {
   mutable sigma_evals : int;      (** RV sigma evaluations *)
@@ -64,7 +73,9 @@ type t = {
 }
 
 val local : unit -> t
-(** The calling domain's accumulator.  Bump its fields directly. *)
+(** The calling domain's accumulator for the current run (cleared
+    first if it still holds counts from before the last {!reset}).
+    Bump its fields directly. *)
 
 val zero : unit -> t
 (** A fresh all-zero record. *)
@@ -77,15 +88,17 @@ val clear : t -> unit
 
 val drain_local : unit -> unit
 (** Merge the calling domain's accumulator into the global totals and
-    zero it.  Called by [Pool] workers before they exit; harmless to
-    call at any other time. *)
+    zero it; an accumulator from before the last {!reset} is zeroed
+    without merging.  Called by [Pool] workers before they exit;
+    harmless to call at any other time. *)
 
 val totals : unit -> t
 (** Global totals: everything drained so far plus the calling domain's
     live accumulator (which is left untouched). *)
 
 val reset : unit -> unit
-(** Zero the drained totals and the calling domain's accumulator. *)
+(** Start a new run: zero the drained totals and retire every domain's
+    accumulator (see {e Run scope} above). *)
 
 val fields : (string * (t -> int)) list
 (** Stable (name, getter) list driving reports and JSON dumps, in

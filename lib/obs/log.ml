@@ -57,18 +57,6 @@ let init_from_env () =
           default_output
             (Printf.sprintf "basched: [warn] BATSCHED_LOG=%s not a level" s))
 
-let env_stats () =
-  match Sys.getenv_opt "BATSCHED_STATS" with
-  | Some "1" | Some "true" -> true
-  | _ -> false
-
-(* a set-but-empty variable reads as unset, so `BATSCHED_EVENTS= cmd`
-   disables an outer-scope export instead of writing a file named "" *)
-let env_opt name =
-  match Sys.getenv_opt name with
-  | Some "" | None -> None
-  | Some v -> Some v
-
 let err msg = log Error msg
 
 let warn msg = log Warn msg

@@ -470,6 +470,40 @@ let test_pool_submit_and_shutdown () =
   Pool.submit pool (fun () -> Atomic.incr hits);
   Alcotest.(check int) "inline job" 9 (Atomic.get hits)
 
+(* Run scope across persistent workers: a job that counted before
+   [Probe.reset] and drains after it must not leak into the new run's
+   totals. *)
+let test_probe_reset_drops_inflight_job () =
+  let pool = Pool.create 2 in
+  let started = Atomic.make false and go = Atomic.make false in
+  let finished = Atomic.make false in
+  let wait_for flag =
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while (not (Atomic.get flag)) && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.001
+    done
+  in
+  Pool.submit pool (fun () ->
+      let p = Probe.local () in
+      p.Probe.anneal_accepted <- p.Probe.anneal_accepted + 425;
+      Atomic.set started true;
+      wait_for go;
+      Atomic.set finished true);
+  Alcotest.(check bool) "job runs on a worker" false (Atomic.get finished);
+  wait_for started;
+  Probe.reset ();
+  Atomic.set go true;
+  Pool.shutdown pool;
+  Alcotest.(check bool) "job finished" true (Atomic.get finished);
+  Alcotest.(check int) "pre-reset count dropped" 0
+    (Probe.totals ()).Probe.anneal_accepted;
+  (* the next run still counts *)
+  let p = Probe.local () in
+  p.Probe.anneal_accepted <- p.Probe.anneal_accepted + 3;
+  Alcotest.(check int) "post-reset count kept" 3
+    (Probe.totals ()).Probe.anneal_accepted;
+  Probe.reset ()
+
 (* Determinism under forced steals: a per-chunk delay dilates execution
    enough that idle workers steal (single-core hosts otherwise rarely
    interleave), and the output must still be bit-identical to the
@@ -719,7 +753,9 @@ let () =
           Alcotest.test_case "for_range" `Quick test_pool_for_range;
           Alcotest.test_case "submit and shutdown" `Quick test_pool_submit_and_shutdown;
           Alcotest.test_case "determinism under steals" `Quick
-            test_pool_determinism_under_steals ] );
+            test_pool_determinism_under_steals;
+          Alcotest.test_case "probe reset drops in-flight job" `Quick
+            test_probe_reset_drops_inflight_job ] );
       ( "tridiag",
         [ Alcotest.test_case "identity" `Quick test_tridiag_identity;
           Alcotest.test_case "known system" `Quick test_tridiag_known_system;
