@@ -554,8 +554,8 @@ let sigma_batch_cross_check () =
       let oracle =
         Array.init pop (fun p ->
             let profile =
-              Batsched_battery.Profile.sequential_fn ~n (fun k ->
-                  (currents.((p * n) + k), durations.((p * n) + k)))
+              Batsched_battery.Profile.sequential_arrays ~currents ~durations
+                ~pos:(p * n) ~len:n
             in
             Batsched_battery.Model.sigma_end m profile)
       in
@@ -632,13 +632,15 @@ let work_profile () =
 (* One timing row.  The rerun guard (below) fills [ns_first] and
    [low_confidence] for rows whose first OLS fit was too noisy to
    trust; both land in the JSON dump so [--compare] can widen its
-   threshold by the observed dispersion. *)
+   threshold by the observed dispersion.  [median_of] marks a row timed
+   directly instead of fitted (see [rerun_guard]); it has no r^2. *)
 type timing_row = {
   tname : string;
   ns_per_run : float;
   r_square : float;
   ns_first : float option;
   low_confidence : bool;
+  median_of : int option;
 }
 
 let estimate_scenarios ~quota named =
@@ -676,8 +678,43 @@ let estimate_scenarios ~quota named =
 (* Fit-quality guard: a row whose OLS fit explains less than half the
    variance is re-measured once with 4x the quota.  The second
    estimate wins either way; rows still under the bar are tagged
-   low-confidence, so [--compare] warns instead of gating on them. *)
+   low-confidence, so [--compare] warns instead of gating on them.
+
+   A scenario whose single run outlasts the quota gives bechamel too
+   few samples to fit at any quota (r^2 comes out nan), so the guard
+   first times one run directly: if it exceeds the quota, the row's
+   estimate is the median of [direct_runs] direct runs (that one
+   included) and it carries no r^2. *)
 let r2_floor = 0.5
+
+let quota_s = 0.5
+
+let direct_runs = 5
+
+let time_ns fn =
+  let t0 = Unix.gettimeofday () in
+  fn ();
+  (Unix.gettimeofday () -. t0) *. 1e9
+
+let median_of_direct_runs fn ~first =
+  let runs =
+    Array.init direct_runs (fun i -> if i = 0 then first else time_ns fn)
+  in
+  Array.sort Float.compare runs;
+  runs.(direct_runs / 2)
+
+let refit fresh named =
+  let name = fresh.tname in
+  Printf.printf "rerun %-39s (r^2 %.4f below %.1f)\n%!" name fresh.r_square
+    r2_floor;
+  match estimate_scenarios ~quota:(4.0 *. quota_s) [ named ] with
+  | [ (_, estimate', r2') ] ->
+      { fresh with
+        ns_per_run = estimate';
+        r_square = r2';
+        ns_first = Some fresh.ns_per_run;
+        low_confidence = not (Float.is_finite r2' && r2' >= r2_floor) }
+  | _ -> { fresh with low_confidence = true }
 
 let rerun_guard rows =
   let scenario_of name =
@@ -696,32 +733,37 @@ let rerun_guard rows =
           ns_per_run = estimate;
           r_square = r2;
           ns_first = None;
-          low_confidence = false }
+          low_confidence = false;
+          median_of = None }
       in
       if Float.is_finite r2 && r2 >= r2_floor then fresh
       else
         match scenario_of name with
         | None -> { fresh with low_confidence = true }
-        | Some named -> (
-            Printf.printf "rerun %-39s (r^2 %.4f below %.1f)\n%!" name r2
-              r2_floor;
-            match estimate_scenarios ~quota:2.0 [ named ] with
-            | [ (_, estimate', r2') ] ->
-                { tname = name;
-                  ns_per_run = estimate';
-                  r_square = r2';
-                  ns_first = Some estimate;
-                  low_confidence = not (Float.is_finite r2' && r2' >= r2_floor)
-                }
-            | _ -> { fresh with low_confidence = true }))
+        | Some ((_, fn) as named) ->
+            let first = time_ns fn in
+            if first > quota_s *. 1e9 then begin
+              Printf.printf "direct %-38s (one run %.2f s outlasts the quota)\n%!"
+                name (first *. 1e-9);
+              { fresh with
+                ns_per_run = median_of_direct_runs fn ~first;
+                r_square = Float.nan;
+                median_of = Some direct_runs }
+            end
+            else refit fresh named)
     rows
 
 let run_timing () =
-  let rows = rerun_guard (estimate_scenarios ~quota:0.5 scenarios) in
+  let rows = rerun_guard (estimate_scenarios ~quota:quota_s scenarios) in
   Printf.printf "%-40s %14s %8s\n" "benchmark" "ns/run" "r^2";
   List.iter
     (fun r ->
-      Printf.printf "%-40s %14.1f %8.4f%s\n%!" r.tname r.ns_per_run r.r_square
+      let fit =
+        match r.median_of with
+        | Some k -> Printf.sprintf "%8s" (Printf.sprintf "med/%d" k)
+        | None -> Printf.sprintf "%8.4f" r.r_square
+      in
+      Printf.printf "%-40s %14.1f %s%s\n%!" r.tname r.ns_per_run fit
         (if r.low_confidence then "  (low confidence)" else ""))
     rows;
   rows
@@ -811,7 +853,11 @@ let write_json path rows profile =
         | None -> ""
       in
       let low =
-        if r.low_confidence then ", \"low_confidence\": true" else ""
+        (if r.low_confidence then ", \"low_confidence\": true" else "")
+        ^
+        match r.median_of with
+        | Some k -> Printf.sprintf ", \"median_of\": %d" k
+        | None -> ""
       in
       Printf.fprintf oc
         "    {\"name\": \"%s\", \"ns_per_run\": %s, \"r_square\": %s%s%s%s}%s\n"

@@ -156,7 +156,10 @@ let full_eval t =
   let probe = Probe.local () in
   probe.Probe.delta_full_evals <- probe.Probe.delta_full_evals + 1;
   Probe.bump_named probe ("delta_full_evals/" ^ t.model.Model.name) 1;
-  let p = Profile.sequential_fn ~n:t.n (fun i -> (t.currents.(i), t.durations.(i))) in
+  let p =
+    Profile.sequential_arrays ~currents:t.currents ~durations:t.durations
+      ~pos:0 ~len:t.n
+  in
   (Model.sigma_end t.model p, Profile.length p)
 
 let resum t =

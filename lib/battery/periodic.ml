@@ -99,12 +99,11 @@ module Batch = struct
     let starts = Array.make n 0.0 in
     let durations = Array.make n 0.0 in
     let currents = Array.make n 0.0 in
-    let i = ref 0 in
-    Profile.fold cycle ~init:() ~f:(fun () ~start ~duration ~current ->
-        starts.(!i) <- start;
-        durations.(!i) <- duration;
-        currents.(!i) <- current;
-        incr i);
+    for i = 0 to n - 1 do
+      starts.(i) <- Profile.start cycle i;
+      durations.(i) <- Profile.duration cycle i;
+      currents.(i) <- Profile.current cycle i
+    done;
     (starts, durations, currents)
 
   let compile_channels (dc : Model.decay) ~period ~starts ~durations ~currents
@@ -166,28 +165,30 @@ module Batch = struct
         g = Array.make (Stdlib.max 1 t) 0.0 }
 
   (* One cycle of one device: probe every interval end, return the
-     first fatal sigma, advance the state only on survival (a dead
-     device is never stepped again, so leaving its state mid-cycle is
-     fine). *)
-  let step_channels d ~alpha ~k =
+     first fatal sigma (nan if it survives), advance the state only on
+     survival (a dead device is never stepped again, so leaving its
+     state mid-cycle is fine).  Loops, not a local closure and an
+     option, so it inlines into the sweep and allocates nothing. *)
+  let[@inline] step_channels d ~alpha ~k =
     let kf = float_of_int k in
-    let rec probe j =
-      if j >= d.nprobe then None
-      else begin
-        let s = ref ((kf *. d.q) +. d.base.(j)) in
-        for tt = 0 to d.nterm - 1 do
-          s := !s +. (d.b.((j * d.nterm) + tt) *. d.g.(tt))
-        done;
-        if !s >= alpha then Some !s else probe (j + 1)
+    let fatal = ref Float.nan in
+    let j = ref 0 in
+    while !j < d.nprobe do
+      let s = ref ((kf *. d.q) +. d.base.(!j)) in
+      for tt = 0 to d.nterm - 1 do
+        s := !s +. (d.b.((!j * d.nterm) + tt) *. d.g.(tt))
+      done;
+      if !s >= alpha then begin
+        fatal := !s;
+        j := d.nprobe
       end
-    in
-    match probe 0 with
-    | Some _ as fatal -> fatal
-    | None ->
-        for tt = 0 to d.nterm - 1 do
-          d.g.(tt) <- 1.0 +. (d.rho.(tt) *. d.g.(tt))
-        done;
-        None
+      else incr j
+    done;
+    if Float.is_nan !fatal then
+      for tt = 0 to d.nterm - 1 do
+        d.g.(tt) <- 1.0 +. (d.rho.(tt) *. d.g.(tt))
+      done;
+    !fatal
 
   let run ?(max_cycles = default_max_cycles) ~n ~device () =
     if n < 0 then invalid_arg "Periodic.Batch.run: negative device count";
@@ -233,13 +234,13 @@ module Batch = struct
           let fatal =
             match compiled.(i) with
             | Channels d -> step_channels d ~alpha:alphas.(i) ~k:!k
-            | Resolved -> None (* never enters the alive set *)
+            | Resolved -> Float.nan (* never enters the alive set *)
           in
-          match fatal with
-          | Some sg -> results.(i) <- { outcome = Dies !k; fatal_sigma = sg }
-          | None ->
-              alive.(!kept) <- i;
-              incr kept
+          if Float.is_nan fatal then begin
+            alive.(!kept) <- i;
+            incr kept
+          end
+          else results.(i) <- { outcome = Dies !k; fatal_sigma = fatal }
         done;
         nalive := !kept;
         incr k

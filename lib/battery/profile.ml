@@ -2,8 +2,9 @@ type interval = { start : float; duration : float; current : float }
 
 (* Struct-of-arrays representation: three unboxed float arrays indexed
    by interval, sorted by start, non-overlapping.  Hot consumers
-   (sigma evaluators) walk the arrays directly via [fold_until] /
-   [fold]; [intervals] materializes the record list for cold callers. *)
+   (sigma evaluators) index the arrays through [start] / [duration] /
+   [current] or walk them via [fold_until]; [intervals] materializes
+   the record list for cold callers. *)
 type t = {
   starts : float array;
   durations : float array;
@@ -50,33 +51,44 @@ let of_intervals triples =
   check_overlap sorted;
   pack_sorted sorted
 
-let sequential_fn ~n f =
-  if n < 0 then invalid_arg "Profile.sequential_fn: negative count";
-  let starts = Array.make (Stdlib.max n 1) 0.0 in
-  let durations = Array.make (Stdlib.max n 1) 0.0 in
-  let currents = Array.make (Stdlib.max n 1) 0.0 in
+let sequential_arrays ~currents ~durations ~pos ~len =
+  if
+    pos < 0 || len < 0
+    || pos + len > Array.length currents
+    || pos + len > Array.length durations
+  then invalid_arg "Profile.sequential_arrays: range out of bounds";
+  let starts = Array.make len 0.0 in
+  let ds = Array.make len 0.0 in
+  let cs = Array.make len 0.0 in
   let kept = ref 0 in
   let clock = ref 0.0 in
-  for i = 0 to n - 1 do
-    let current, duration = f i in
+  for i = pos to pos + len - 1 do
+    let current = currents.(i) and duration = durations.(i) in
     if duration < 0.0 then invalid_arg "Profile.sequential: negative duration";
     if current < 0.0 then invalid_arg "Profile.sequential: negative current";
-    check_interval (!clock, duration, current);
+    if
+      not
+        (Float.is_finite !clock && Float.is_finite duration
+       && Float.is_finite current)
+    then invalid_arg "Profile: non-finite interval field";
     if duration > 0.0 then begin
       starts.(!kept) <- !clock;
-      durations.(!kept) <- duration;
-      currents.(!kept) <- current;
+      ds.(!kept) <- duration;
+      cs.(!kept) <- current;
       incr kept
     end;
     clock := !clock +. duration
   done;
-  { starts = Array.sub starts 0 !kept;
-    durations = Array.sub durations 0 !kept;
-    currents = Array.sub currents 0 !kept }
+  if !kept = len then { starts; durations = ds; currents = cs }
+  else
+    { starts = Array.sub starts 0 !kept;
+      durations = Array.sub ds 0 !kept;
+      currents = Array.sub cs 0 !kept }
 
 let sequential pairs =
-  let arr = Array.of_list pairs in
-  sequential_fn ~n:(Array.length arr) (fun i -> arr.(i))
+  let currents = Array.of_list (List.map fst pairs) in
+  let durations = Array.of_list (List.map snd pairs) in
+  sequential_arrays ~currents ~durations ~pos:0 ~len:(Array.length currents)
 
 let constant ~current ~duration = of_intervals [ (0.0, duration, current) ]
 
@@ -89,17 +101,13 @@ let with_idle t ~after ~idle =
 let interval t i =
   { start = t.starts.(i); duration = t.durations.(i); current = t.currents.(i) }
 
-let intervals t = List.init (num_intervals t) (interval t)
+let[@inline] start t i = t.starts.(i)
 
-let fold t ~init ~f =
-  let n = num_intervals t in
-  let acc = ref init in
-  for i = 0 to n - 1 do
-    acc :=
-      f !acc ~start:t.starts.(i) ~duration:t.durations.(i)
-        ~current:t.currents.(i)
-  done;
-  !acc
+let[@inline] duration t i = t.durations.(i)
+
+let[@inline] current t i = t.currents.(i)
+
+let intervals t = List.init (num_intervals t) (interval t)
 
 let fold_until t ~at ~init ~f =
   let n = num_intervals t in
@@ -116,8 +124,11 @@ let fold_until t ~at ~init ~f =
   go 0 init
 
 let length t =
-  fold t ~init:0.0 ~f:(fun acc ~start ~duration ~current:_ ->
-      Float.max acc (start +. duration))
+  let l = ref 0.0 in
+  for i = 0 to num_intervals t - 1 do
+    l := Float.max !l (t.starts.(i) +. t.durations.(i))
+  done;
+  !l
 
 let total_charge t =
   Batsched_numeric.Kahan.sum_fn (num_intervals t) (fun i ->

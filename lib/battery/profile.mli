@@ -17,7 +17,8 @@ type t
     non-overlapping, all within [[0, infinity)].  Stored as three
     unboxed float arrays (start/duration/current per interval), so the
     hot sigma evaluators can walk it without per-call allocation — use
-    {!fold} / {!fold_until} rather than {!intervals} on hot paths. *)
+    {!start} / {!duration} / {!current} or {!fold_until} rather than
+    {!intervals} on hot paths. *)
 
 val empty : t
 (** The profile that draws nothing. *)
@@ -34,13 +35,15 @@ val sequential : (float * float) list -> t
     Zero-duration entries are dropped.
     @raise Invalid_argument on negative currents or durations. *)
 
-val sequential_fn : n:int -> (int -> float * float) -> t
-(** [sequential_fn ~n f] is [sequential [f 0; f 1; ...; f (n-1)]]
-    without building the intermediate list: [f i] returns the
-    [(current, duration)] of the [i]-th back-to-back interval and the
-    arrays are filled directly.  The schedule-to-profile conversion on
-    the search hot path uses this.
-    @raise Invalid_argument as {!sequential}, or on negative [n]. *)
+val sequential_arrays :
+  currents:float array -> durations:float array -> pos:int -> len:int -> t
+(** [sequential_arrays ~currents ~durations ~pos ~len] is
+    [sequential] of the pairs [(currents.(i), durations.(i))] for [i]
+    in [pos .. pos+len-1], read straight from the arrays (which are
+    copied, not kept): the schedule-to-profile conversion on the search
+    hot path uses this.
+    @raise Invalid_argument as {!sequential}, or if the range does not
+    lie within both arrays. *)
 
 val constant : current:float -> duration:float -> t
 (** A single-interval profile starting at 0. *)
@@ -52,17 +55,23 @@ val with_idle : t -> after:float -> idle:float -> t
 
 val intervals : t -> interval list
 (** Intervals in increasing start-time order.  Materializes a fresh
-    list; prefer {!fold} / {!fold_until} where allocation matters. *)
+    list; prefer {!start} / {!duration} / {!current} or {!fold_until}
+    where allocation matters. *)
 
 val num_intervals : t -> int
 (** Number of (positive-duration) intervals. *)
 
-val fold :
-  t ->
-  init:'a ->
-  f:('a -> start:float -> duration:float -> current:float -> 'a) ->
-  'a
-(** Allocation-free left fold over the intervals in start order. *)
+val start : t -> int -> float
+(** [start t i] is the start of the [i]-th interval (0-based, in start
+    order), read in place; with {!duration} and {!current} it lets a
+    sigma kernel walk the profile with no closure and no allocation.
+    @raise Invalid_argument if [i] is out of range. *)
+
+val duration : t -> int -> float
+(** As {!start}, for the interval's duration. *)
+
+val current : t -> int -> float
+(** As {!start}, for the interval's current. *)
 
 val fold_until :
   t ->

@@ -2,8 +2,8 @@ open Batsched_numeric
 
 let default_beta = 0.273
 
-(* The truncation is evaluated lazily during the interval
-   fold (no profile copy), the kernel comes from the memoized
+(* The truncation is evaluated lazily during the walk over the
+   profile's arrays (no profile copy), the kernel comes from the memoized
    [Series.exp_sum_cached] tails, and whole per-interval contributions
    are memoized in {e suffix-time coordinates}: the RV contribution of
    an interval depends only on its current [I], its duration [D] and the
@@ -20,7 +20,7 @@ let default_beta = 0.273
 let contribution_cache : Fcache.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Fcache.create ~label:"rv-contrib" ~arity:5 ())
 
-let contribution ~terms ~beta ~current ~duration ~tail =
+let[@inline] contribution ~terms ~beta ~current ~duration ~tail =
   let tbl = Domain.DLS.get contribution_cache in
   let terms_f = float_of_int terms in
   let probe = Probe.local () in
@@ -42,11 +42,22 @@ let sigma ?(terms = Series.default_terms) ?(beta = default_beta) p ~at =
   if at < 0.0 then invalid_arg "Rakhmatov.sigma: negative time";
   let probe = Probe.local () in
   probe.Probe.sigma_evals <- probe.Probe.sigma_evals + 1;
-  Kahan.sum
-    (Profile.fold_until p ~at ~init:Kahan.zero
-       ~f:(fun acc ~start ~duration ~current ->
-         let tail = Float.max 0.0 (at -. start -. duration) in
-         Kahan.add acc (contribution ~terms ~beta ~current ~duration ~tail)))
+  (* The load up to [at] as [Profile.fold_until] exposes it (stop at
+     the first interval starting at or after [at], clip a straddling
+     one), walked in place and summed in the same Neumaier order. *)
+  let acc = Kahan.Acc.create () in
+  let n = Profile.num_intervals p in
+  let i = ref 0 in
+  while !i < n && not (Profile.start p !i >= at) do
+    let start = Profile.start p !i in
+    let duration = Profile.duration p !i in
+    let duration = if start +. duration <= at then duration else at -. start in
+    let tail = Float.max 0.0 (at -. start -. duration) in
+    Kahan.Acc.add acc
+      (contribution ~terms ~beta ~current:(Profile.current p !i) ~duration ~tail);
+    incr i
+  done;
+  Kahan.Acc.sum acc
 
 (* The suffix-time decomposition packaged for the delta evaluator: at
    the makespan of a gapless profile, [tail] in the cache key above is

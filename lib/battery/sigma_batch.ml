@@ -59,10 +59,9 @@ let check_point current duration =
    profile and go through the model's full path.  O(n) plus a profile
    allocation per candidate — the price of a model without a kernel. *)
 let fallback_row t p =
-  let base = p * t.n in
   let profile =
-    Profile.sequential_fn ~n:t.n (fun k ->
-        (t.currents.(base + k), t.durations.(base + k)))
+    Profile.sequential_arrays ~currents:t.currents ~durations:t.durations
+      ~pos:(p * t.n) ~len:t.n
   in
   t.sigmas.(p) <- Model.sigma_end t.model profile
 

@@ -14,7 +14,8 @@ let eps = 1e-9
 (* --- per-graph tables ---
 
    Everything [CalculateDPF] reads about the graph itself, as flat
-   arrays: design-point tables, the energy rank and the ENR/CR bounds.
+   arrays: design-point tables, the energy rank, the column times and
+   the ENR/CR bounds.
    A graph is immutable, so the tables are built once per graph and kept
    in a one-entry cache per domain, keyed on physical equality — the
    loop, [Window.evaluate] and [Polish] call Choose thousands of times
@@ -24,6 +25,7 @@ type tables = {
   cur : float array array;
   energy : float array array; (* current *. voltage *. duration *)
   rank : int array;           (* task -> place in increasing average energy *)
+  column_time : float array;  (* [Analysis.column_time] of each column *)
   emin : float;
   emax : float;
   imin : float;
@@ -43,10 +45,23 @@ let make_tables g =
     cur = table (fun p -> p.Task.current);
     energy = table (fun p -> p.Task.current *. p.Task.voltage *. p.Task.duration);
     rank;
+    column_time = Array.init m (Analysis.column_time g);
     emin;
     emax;
     imin;
     imax }
+
+(* a workspace's tables before its domain's first call *)
+let no_tables =
+  { dur = [||];
+    cur = [||];
+    energy = [||];
+    rank = [||];
+    column_time = [||];
+    emin = 0.0;
+    emax = 0.0;
+    imin = 0.0;
+    imax = 0.0 }
 
 let cache : (Graph.t * tables) option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
@@ -79,31 +94,36 @@ let tables g =
    [size, 2*size)) keeps child sums in each node, recomputed from the
    children on update so nothing drifts; one root-to-leaf descent per
    trial finds the prefix.  Moving to the next position rewrites only
-   the slots of the two tasks whose state changed (DESIGN.md §9). *)
+   the slots of the two tasks whose state changed (DESIGN.md §9).
+
+   The context is a per-domain workspace: its arrays grow on demand and
+   are reset by {!prepare} at the start of each call, so a call
+   allocates only its result.  Each pool domain owns its workspace. *)
 type ctx = {
-  tb : tables;
-  n : int;
-  lowest : int;
-  window_start : int;
-  span : int;                 (* S: upgrade steps per free task *)
-  deadline : float;
-  seq : int array;
-  pos_of : int array;         (* task -> position in [seq] *)
-  cols : int array;           (* committed columns of the fixed suffix *)
-  low_te : float array;       (* low_te.(p): seq.(0..p-1) durations at lowest *)
-  low_en : float array;       (* same for energies *)
-  low_inc : int array;        (* low_inc.(p): increasing pairs in seq.(0..p-1) at lowest *)
+  mutable tb : tables;
+  mutable n : int;
+  mutable lowest : int;
+  mutable window_start : int;
+  mutable span : int;         (* S: upgrade steps per free task *)
+  mutable seq : int array;
+  mutable pos_of : int array; (* task -> position in [seq] *)
+  mutable cols : int array;   (* committed columns of the fixed suffix *)
+  (* low_te.(p), low_en.(p): durations and energies of seq.(0..p-1) at
+     lowest; low_inc.(p): increasing pairs among them at lowest *)
+  mutable low_te : float array;
+  mutable low_en : float array;
+  mutable low_inc : int array;
   suf_te : Kahan.Acc.t;       (* committed suffix durations *)
   suf_en : Kahan.Acc.t;
-  size : int;
-  dt : float array;
-  de : float array;
-  cnt : int array;
-  cif : int array;
-  (* float state in arrays, so updating it boxes nothing *)
-  base : float array;         (* [| te; energy |] of all tasks but the tagged *)
-  pre : float array;          (* [| dt; de |] of the last descent's prefix *)
-  mutable pre_len : int;      (* slots in that prefix *)
+  mutable size : int;
+  mutable dt : float array;
+  mutable de : float array;
+  mutable cnt : int array;
+  mutable cif : int array;
+  (* float state in one flat array, so updating it boxes nothing;
+     slots named below *)
+  fl : float array;
+  mutable pre_len : int;      (* slots in the last descent's prefix *)
   mutable pre_cnt : int;      (* live slots in it: the applied step count *)
   mutable pre_cif : int;
   mutable committed_inc : int; (* increasing pairs in the fixed suffix *)
@@ -111,61 +131,119 @@ type ctx = {
   mutable prev_k : int;       (* applied step count of the previous trial *)
 }
 
-let[@inline] inc a b = if b > a then 1 else 0
+let f_deadline = 0
+let f_base_te = 1   (* te and energy of all tasks but the tagged *)
+let f_base_en = 2
+let f_pre_dt = 3    (* dt and de of the last descent's prefix *)
+let f_pre_de = 4
+let f_te_entry = 5  (* the trial's time with no free task upgraded *)
+let f_enr = 6       (* the last trial's metrics *)
+let f_cif = 7
+let f_dpf = 8
+let f_best = 9      (* least B of the column pick so far *)
 
-let make_ctx (cfg : Config.t) g ~seq ~window_start =
+let workspace : ctx Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      { tb = no_tables;
+        n = 0;
+        lowest = 0;
+        window_start = 0;
+        span = 0;
+        seq = [||];
+        pos_of = [||];
+        cols = [||];
+        low_te = [||];
+        low_en = [||];
+        low_inc = [||];
+        suf_te = Kahan.Acc.create ();
+        suf_en = Kahan.Acc.create ();
+        size = 0;
+        dt = [||];
+        de = [||];
+        cnt = [||];
+        cif = [||];
+        fl = Array.make 10 0.0;
+        pre_len = 0;
+        pre_cnt = 0;
+        pre_cif = 0;
+        committed_inc = 0;
+        pos = 0;
+        prev_k = 0 })
+
+(* Typed at float: an unannotated [>] here is the polymorphic compare,
+   which boxes both currents on every call. *)
+let[@inline] inc (a : float) (b : float) = if b > a then 1 else 0
+
+(* Load the calling domain's workspace with one call's sequence and
+   window, growing any array that is too short. *)
+let prepare (cfg : Config.t) g ~seq ~window_start =
+  let c = Domain.DLS.get workspace in
   let tb = tables g in
   let n = Graph.num_tasks g and m = Graph.num_points g in
   let lowest = m - 1 in
   let span = lowest - window_start in
-  let pos_of = Array.make n 0 in
-  Array.iteri (fun pos t -> pos_of.(t) <- pos) seq;
-  let low_te = Array.make (n + 1) 0.0 and low_en = Array.make (n + 1) 0.0 in
-  let low_inc = Array.make (n + 1) 0 in
-  let te = Kahan.Acc.create () and en = Kahan.Acc.create () in
-  Array.iteri
-    (fun p t ->
-      Kahan.Acc.add te tb.dur.(t).(lowest);
-      Kahan.Acc.add en tb.energy.(t).(lowest);
-      low_te.(p + 1) <- Kahan.Acc.sum te;
-      low_en.(p + 1) <- Kahan.Acc.sum en;
-      low_inc.(p + 1) <-
-        low_inc.(p)
-        + (if p = 0 then 0
-           else inc tb.cur.(seq.(p - 1)).(lowest) tb.cur.(t).(lowest)))
-    seq;
   let rec pow2 k = if k >= n * span then k else pow2 (2 * k) in
   let size = pow2 1 in
-  { tb;
-    n;
-    lowest;
-    window_start;
-    span;
-    deadline = cfg.Config.deadline;
-    seq;
-    pos_of;
-    cols = Array.make n lowest;
-    low_te;
-    low_en;
-    low_inc;
-    suf_te = Kahan.Acc.create ();
-    suf_en = Kahan.Acc.create ();
-    size;
-    dt = Array.make (2 * size) 0.0;
-    de = Array.make (2 * size) 0.0;
-    cnt = Array.make (2 * size) 0;
-    cif = Array.make (2 * size) 0;
-    base = Array.make 2 0.0;
-    pre = Array.make 2 0.0;
-    pre_len = 0;
-    pre_cnt = 0;
-    pre_cif = 0;
-    committed_inc = 0;
-    pos = 0;
-    prev_k = 0 }
+  if Array.length c.pos_of < n then begin
+    c.pos_of <- Array.make n 0;
+    c.cols <- Array.make n 0;
+    c.low_te <- Array.make (n + 1) 0.0;
+    c.low_en <- Array.make (n + 1) 0.0;
+    c.low_inc <- Array.make (n + 1) 0
+  end;
+  if Array.length c.dt < 2 * size then begin
+    c.dt <- Array.make (2 * size) 0.0;
+    c.de <- Array.make (2 * size) 0.0;
+    c.cnt <- Array.make (2 * size) 0;
+    c.cif <- Array.make (2 * size) 0
+  end;
+  c.tb <- tb;
+  c.n <- n;
+  c.lowest <- lowest;
+  c.window_start <- window_start;
+  c.span <- span;
+  c.seq <- seq;
+  c.size <- size;
+  c.fl.(f_deadline) <- cfg.Config.deadline;
+  Array.fill c.cols 0 n lowest;
+  let pos_of = c.pos_of and low_te = c.low_te and low_en = c.low_en in
+  let low_inc = c.low_inc in
+  let te = c.suf_te and en = c.suf_en in
+  Kahan.Acc.reset te;
+  Kahan.Acc.reset en;
+  low_te.(0) <- 0.0;
+  low_en.(0) <- 0.0;
+  low_inc.(0) <- 0;
+  for p = 0 to n - 1 do
+    let t = seq.(p) in
+    pos_of.(t) <- p;
+    Kahan.Acc.add te tb.dur.(t).(lowest);
+    Kahan.Acc.add en tb.energy.(t).(lowest);
+    low_te.(p + 1) <- Kahan.Acc.sum te;
+    low_en.(p + 1) <- Kahan.Acc.sum en;
+    low_inc.(p + 1) <-
+      low_inc.(p)
+      + (if p = 0 then 0
+         else inc tb.cur.(seq.(p - 1)).(lowest) tb.cur.(t).(lowest))
+  done;
+  Kahan.Acc.reset te;
+  Kahan.Acc.reset en;
+  (* leaves past the last live task stay zero; [build] writes the rest *)
+  let used = size + (n * span) in
+  Array.fill c.dt used (2 * size - used) 0.0;
+  Array.fill c.de used (2 * size - used) 0.0;
+  Array.fill c.cnt used (2 * size - used) 0;
+  Array.fill c.cif used (2 * size - used) 0;
+  c.pre_len <- 0;
+  c.pre_cnt <- 0;
+  c.pre_cif <- 0;
+  c.committed_inc <- 0;
+  c.pos <- 0;
+  c.prev_k <- 0;
+  c
 
 (* Metrics.current_ratio over the precomputed range. *)
-let current_ratio c i =
+let[@inline] current_ratio c i =
   if c.tb.imax -. c.tb.imin <= 0.0 then 0.0
   else (i -. c.tb.imin) /. (c.tb.imax -. c.tb.imin)
 
@@ -175,6 +253,17 @@ let pull c k =
   c.de.(k) <- c.de.(l) +. c.de.(r);
   c.cnt.(k) <- c.cnt.(l) + c.cnt.(r);
   c.cif.(k) <- c.cif.(l) + c.cif.(r)
+
+(* Current of free partner [v] while the task of rank [r] moves: lower
+   ranks already sit at the window edge, the rest at the lowest column. *)
+let[@inline] partner c v ~r =
+  c.tb.cur.(v).(if c.tb.rank.(v) < r then c.window_start else c.lowest)
+
+(* Increasing pairs task [q] (at position [p], current [i]) forms with
+   its free neighbours. *)
+let[@inline] incs c ~p ~pos ~r i =
+  (if p > 0 then inc (partner c c.seq.(p - 1) ~r) i else 0)
+  + if p + 1 < pos then inc i (partner c c.seq.(p + 1) ~r) else 0
 
 (* Write task [q]'s leaves for tagged position [pos]; ancestors are
    left stale. *)
@@ -190,22 +279,13 @@ let fill_slots c q ~pos =
     Array.fill c.cif base c.span 0
   end
   else begin
-    let partner v =
-      tb.cur.(v).(if tb.rank.(v) < r then c.window_start else c.lowest)
-    in
-    let has_left = p > 0 and has_right = p + 1 < pos in
-    let cl = if has_left then partner c.seq.(p - 1) else 0.0 in
-    let cr = if has_right then partner c.seq.(p + 1) else 0.0 in
-    let incs i =
-      (if has_left then inc cl i else 0) + if has_right then inc i cr else 0
-    in
     let d = tb.dur.(q) and e = tb.energy.(q) and cu = tb.cur.(q) in
     for s = 0 to c.span - 1 do
       let col = c.lowest - s and k = base + s in
       c.dt.(k) <- d.(col - 1) -. d.(col);
       c.de.(k) <- e.(col - 1) -. e.(col);
       c.cnt.(k) <- 1;
-      c.cif.(k) <- incs cu.(col - 1) - incs cu.(col)
+      c.cif.(k) <- incs c ~p ~pos ~r cu.(col - 1) - incs c ~p ~pos ~r cu.(col)
     done
   end
 
@@ -237,8 +317,8 @@ let refresh c q ~pos =
 let enter c ~pos =
   c.pos <- pos;
   c.prev_k <- 0;
-  c.base.(0) <- Kahan.Acc.sum c.suf_te +. c.low_te.(pos);
-  c.base.(1) <- Kahan.Acc.sum c.suf_en +. c.low_en.(pos)
+  c.fl.(f_base_te) <- Kahan.Acc.sum c.suf_te +. c.low_te.(pos);
+  c.fl.(f_base_en) <- Kahan.Acc.sum c.suf_en +. c.low_en.(pos)
 
 (* Fix the tagged task at [col] and move on to position pos-1:
    seq.(pos-1) becomes the tagged task, and seq.(pos-2) loses its free
@@ -260,43 +340,53 @@ let commit c ~col =
     enter c ~pos:(pos - 1)
   end
 
-(* The smallest applied prefix with [te_entry +. dt <= d +. eps], left
-   in [pre*]; the whole tree if none meets the deadline.  Returns
-   whether the deadline is met. *)
-let descend c ~te_entry =
-  let limit = c.deadline +. eps in
-  let set len ~dt ~de ~cnt ~cif =
-    c.pre_len <- len;
-    c.pre.(0) <- dt;
-    c.pre.(1) <- de;
-    c.pre_cnt <- cnt;
-    c.pre_cif <- cif
-  in
+(* The smallest applied prefix with [te_entry +. dt <= d +. eps], for
+   the [te_entry] slot, left in [pre*]; the whole tree if none meets the
+   deadline.  Returns whether the deadline is met. *)
+let descend c =
+  let fl = c.fl in
+  let te_entry = fl.(f_te_entry) in
+  let limit = fl.(f_deadline) +. eps in
   if te_entry <= limit then begin
-    set 0 ~dt:0.0 ~de:0.0 ~cnt:0 ~cif:0;
+    c.pre_len <- 0;
+    fl.(f_pre_dt) <- 0.0;
+    fl.(f_pre_de) <- 0.0;
+    c.pre_cnt <- 0;
+    c.pre_cif <- 0;
     true
   end
   else if not (te_entry +. c.dt.(1) <= limit) then begin
-    set c.size ~dt:c.dt.(1) ~de:c.de.(1) ~cnt:c.cnt.(1) ~cif:c.cif.(1);
+    c.pre_len <- c.size;
+    fl.(f_pre_dt) <- c.dt.(1);
+    fl.(f_pre_de) <- c.de.(1);
+    c.pre_cnt <- c.cnt.(1);
+    c.pre_cif <- c.cif.(1);
     false
   end
   else begin
-    let k = ref 1 and dt = ref 0.0 and de = ref 0.0 in
-    let cnt = ref 0 and cif = ref 0 in
+    (* the running prefix sums live in the [pre*] slots *)
+    fl.(f_pre_dt) <- 0.0;
+    fl.(f_pre_de) <- 0.0;
+    c.pre_cnt <- 0;
+    c.pre_cif <- 0;
+    let k = ref 1 in
     while !k < c.size do
       let l = 2 * !k in
-      if te_entry +. (!dt +. c.dt.(l)) <= limit then k := l
+      if te_entry +. (fl.(f_pre_dt) +. c.dt.(l)) <= limit then k := l
       else begin
-        dt := !dt +. c.dt.(l);
-        de := !de +. c.de.(l);
-        cnt := !cnt + c.cnt.(l);
-        cif := !cif + c.cif.(l);
+        fl.(f_pre_dt) <- fl.(f_pre_dt) +. c.dt.(l);
+        fl.(f_pre_de) <- fl.(f_pre_de) +. c.de.(l);
+        c.pre_cnt <- c.pre_cnt + c.cnt.(l);
+        c.pre_cif <- c.pre_cif + c.cif.(l);
         k := l + 1
       end
     done;
     let leaf = !k in
-    set (leaf - c.size + 1) ~dt:(!dt +. c.dt.(leaf)) ~de:(!de +. c.de.(leaf))
-      ~cnt:(!cnt + c.cnt.(leaf)) ~cif:(!cif + c.cif.(leaf));
+    c.pre_len <- leaf - c.size + 1;
+    fl.(f_pre_dt) <- fl.(f_pre_dt) +. c.dt.(leaf);
+    fl.(f_pre_de) <- fl.(f_pre_de) +. c.de.(leaf);
+    c.pre_cnt <- c.pre_cnt + c.cnt.(leaf);
+    c.pre_cif <- c.pre_cif + c.cif.(leaf);
     true
   end
 
@@ -306,12 +396,13 @@ let free_col c q =
   c.lowest - Int.max 0 (Int.min c.span applied)
 
 (* Evaluate the tagged task at column [j]: one descent, O(log n).
-   Returns (enr, cif, dpf) for the hypothetical completion. *)
+   Leaves enr, cif and dpf of the hypothetical completion in their
+   slots. *)
 let trial c ~j =
-  let tb = c.tb and pos = c.pos and n = c.n in
+  let tb = c.tb and pos = c.pos and n = c.n and fl = c.fl in
   let t = c.seq.(pos) in
-  let te_entry = c.base.(0) +. tb.dur.(t).(j) in
-  let feasible = descend c ~te_entry in
+  fl.(f_te_entry) <- fl.(f_base_te) +. tb.dur.(t).(j);
+  let feasible = descend c in
   (* work counter: the rise in the applied step count since the
      previous trial, i.e. the steps a forward walk would apply *)
   let k = c.pre_cnt in
@@ -320,47 +411,46 @@ let trial c ~j =
     probe.Probe.dpf_steps <- probe.Probe.dpf_steps + (k - c.prev_k)
   end;
   c.prev_k <- k;
-  let enr =
-    if tb.emax -. tb.emin <= 0.0 then 0.0
-    else
-      (c.base.(1) +. tb.energy.(t).(j) +. c.pre.(1) -. tb.emin)
-      /. (tb.emax -. tb.emin)
-  in
-  let cif =
-    if n <= 1 then 0.0
-    else begin
-      let ct = tb.cur.(t).(j) in
-      let right =
-        if pos + 1 < n then
-          let v = c.seq.(pos + 1) in
-          inc ct tb.cur.(v).(c.cols.(v))
-        else 0
-      in
-      let left =
-        if pos > 0 then
-          let v = c.seq.(pos - 1) in
-          inc tb.cur.(v).(free_col c v) ct
-        else 0
-      in
-      float_of_int
-        (c.committed_inc + c.low_inc.(pos) + c.pre_cif + left + right)
-      /. float_of_int (n - 1)
-    end
-  in
-  let dpf =
-    if not feasible then Float.infinity
-    else if pos = 0 then
-      Metrics.slack_ratio ~deadline:c.deadline ~time:(te_entry +. c.pre.(0))
-    else if c.span = 0 then 0.0
-    else float_of_int k /. float_of_int c.span /. float_of_int pos
-  in
-  (enr, cif, dpf)
+  fl.(f_enr) <-
+    (if tb.emax -. tb.emin <= 0.0 then 0.0
+     else
+       (fl.(f_base_en) +. tb.energy.(t).(j) +. fl.(f_pre_de) -. tb.emin)
+       /. (tb.emax -. tb.emin));
+  fl.(f_cif) <-
+    (if n <= 1 then 0.0
+     else begin
+       let ct = tb.cur.(t).(j) in
+       let right =
+         if pos + 1 < n then
+           let v = c.seq.(pos + 1) in
+           inc ct tb.cur.(v).(c.cols.(v))
+         else 0
+       in
+       let left =
+         if pos > 0 then
+           let v = c.seq.(pos - 1) in
+           inc tb.cur.(v).(free_col c v) ct
+         else 0
+       in
+       float_of_int
+         (c.committed_inc + c.low_inc.(pos) + c.pre_cif + left + right)
+       /. float_of_int (n - 1)
+     end);
+  fl.(f_dpf) <-
+    (if not feasible then Float.infinity
+     else if pos = 0 then
+       Metrics.slack_ratio ~deadline:fl.(f_deadline)
+         ~time:(fl.(f_te_entry) +. fl.(f_pre_dt))
+     else if c.span = 0 then 0.0
+     else float_of_int k /. float_of_int c.span /. float_of_int pos)
 
 let calculate_dpf (cfg : Config.t) g ~sequence ~assignment ~tagged_pos
     ~window_start =
-  let c = make_ctx cfg g ~seq:sequence ~window_start in
+  let c = prepare cfg g ~seq:sequence ~window_start in
   let cols = c.cols in
-  List.iteri (fun i col -> cols.(i) <- col) (Assignment.to_list assignment);
+  for i = 0 to c.n - 1 do
+    cols.(i) <- Assignment.column assignment i
+  done;
   for pos = 0 to tagged_pos - 1 do
     if cols.(c.seq.(pos)) <> c.lowest then
       invalid_arg "Choose.calculate_dpf: free task not at the lowest-power column"
@@ -370,15 +460,14 @@ let calculate_dpf (cfg : Config.t) g ~sequence ~assignment ~tagged_pos
   while c.pos > tagged_pos do
     commit c ~col:cols.(c.seq.(c.pos))
   done;
-  let enr, cif, dpf = trial c ~j:cols.(c.seq.(tagged_pos)) in
-  let hypothetical = Array.copy cols in
-  for pos = 0 to tagged_pos - 1 do
-    let q = c.seq.(pos) in
-    hypothetical.(q) <- free_col c q
-  done;
-  { enr; cif; dpf; hypothetical = Assignment.of_list g (Array.to_list hypothetical) }
+  trial c ~j:cols.(c.seq.(tagged_pos));
+  let hypothetical =
+    Assignment.init g (fun q ->
+        if c.pos_of.(q) < tagged_pos then free_col c q else cols.(q))
+  in
+  { enr = c.fl.(f_enr); cif = c.fl.(f_cif); dpf = c.fl.(f_dpf); hypothetical }
 
-let suitability (cfg : Config.t) ~sr ~cr ~enr ~cif ~dpf =
+let[@inline] suitability (cfg : Config.t) ~sr ~cr ~enr ~cif ~dpf =
   if dpf = Float.infinity then Float.infinity
   else begin
     let w = cfg.Config.weights in
@@ -388,43 +477,24 @@ let suitability (cfg : Config.t) ~sr ~cr ~enr ~cif ~dpf =
     +. (w.Config.dpf *. dpf)
   end
 
-let choose_design_points (cfg : Config.t) g ~sequence ~window_start =
-  let m = Graph.num_points g in
-  if window_start < 0 || window_start >= m then
-    invalid_arg "Choose.choose_design_points: window out of range";
-  if not (Analysis.is_topological g sequence) then
-    invalid_arg "Choose.choose_design_points: invalid sequence";
-  Batsched_obs.Sink.with_span cfg.Config.obs "choose" @@ fun () ->
-  let probe = Probe.local () in
-  probe.Probe.choose_calls <- probe.Probe.choose_calls + 1;
-  (* convergence record per call: attribute the upgrade-loop work
-     (dpf_steps delta) to this window *)
-  let dpf0 =
-    if Batsched_obs.Events.is_active cfg.Config.events then
-      probe.Probe.dpf_steps
-    else 0
-  in
-  Fun.protect ~finally:(fun () ->
-      if Batsched_obs.Events.is_active cfg.Config.events then
-        Batsched_obs.Events.emit cfg.Config.events "choose"
-          [ ("window_start", Batsched_obs.Events.I window_start);
-            ("dpf_steps", Batsched_obs.Events.I (probe.Probe.dpf_steps - dpf0))
-          ])
-  @@ fun () ->
-  let seq = Array.of_list sequence in
-  let c = make_ctx cfg g ~seq ~window_start in
-  let n = c.n and dur = c.tb.dur in
+(* The selection proper, on a validated sequence. *)
+let select (cfg : Config.t) g ~seq ~window_start =
+  let c = prepare cfg g ~seq ~window_start in
+  let n = c.n and dur = c.tb.dur and fl = c.fl in
   let d = cfg.Config.deadline in
   let lowest = c.lowest in
   (* The paper fixes the last task at the lowest-power column outright
      ("S(n,m) = 1"), which can bust a tight deadline before selection
      even starts.  We take the slowest column that leaves the rest of
      the sequence feasible at the window's fastest column — identical
-     to the paper whenever its own examples apply (see DESIGN.md). *)
+     to the paper whenever its own examples apply (see DESIGN.md).
+     The sum borrows [suf_te], which [prepare] left zeroed. *)
   let last = seq.(n - 1) in
-  let rest_fastest =
-    Kahan.sum_fn (n - 1) (fun pos -> dur.(seq.(pos)).(window_start))
-  in
+  for pos = 0 to n - 2 do
+    Kahan.Acc.add c.suf_te dur.(seq.(pos)).(window_start)
+  done;
+  let rest_fastest = Kahan.Acc.sum c.suf_te in
+  Kahan.Acc.reset c.suf_te;
   let last_col =
     let rec pick j =
       if j <= window_start then window_start
@@ -441,21 +511,54 @@ let choose_design_points (cfg : Config.t) g ~sequence ~window_start =
   let tsum = ref dur.(last).(last_col) in
   for pos = n - 2 downto 0 do
     let t = seq.(pos) in
-    let best = ref None in
+    let best = ref (-1) in
     for j = lowest downto window_start do
       let ttemp = !tsum +. dur.(t).(j) in
       let sr = Metrics.slack_ratio ~deadline:d ~time:ttemp in
       let cr = current_ratio c c.tb.cur.(t).(j) in
-      let enr, cif, dpf = trial c ~j in
-      let b = suitability cfg ~sr ~cr ~enr ~cif ~dpf in
-      match !best with
-      | Some (_, best_b) when best_b <= b -> ()
-      | _ -> if b < Float.infinity then best := Some (j, b)
+      trial c ~j;
+      let b =
+        suitability cfg ~sr ~cr ~enr:fl.(f_enr) ~cif:fl.(f_cif) ~dpf:fl.(f_dpf)
+      in
+      (* strict improvement only: ties keep the lower-power column *)
+      if b < Float.infinity && (!best < 0 || b < fl.(f_best)) then begin
+        best := j;
+        fl.(f_best) <- b
+      end
     done;
-    match !best with
-    | None -> raise Config.Deadline_unmeetable
-    | Some (col, _) ->
-        commit c ~col;
-        tsum := !tsum +. dur.(t).(col)
+    if !best < 0 then raise Config.Deadline_unmeetable;
+    commit c ~col:!best;
+    tsum := !tsum +. dur.(t).(!best)
   done;
-  Assignment.of_list g (Array.to_list c.cols)
+  Assignment.init g (Array.get c.cols)
+
+let column_time g j =
+  if j < 0 || j >= Graph.num_points g then
+    invalid_arg "Choose.column_time: column out of range";
+  (tables g).column_time.(j)
+
+let unsafe_choose (cfg : Config.t) g ~seq ~window_start =
+  Batsched_obs.Sink.with_span cfg.Config.obs "choose" @@ fun () ->
+  let probe = Probe.local () in
+  probe.Probe.choose_calls <- probe.Probe.choose_calls + 1;
+  if not (Batsched_obs.Events.is_active cfg.Config.events) then
+    select cfg g ~seq ~window_start
+  else begin
+    (* convergence record per call: attribute the upgrade-loop work
+       (dpf_steps delta) to this window *)
+    let dpf0 = probe.Probe.dpf_steps in
+    Fun.protect ~finally:(fun () ->
+        Batsched_obs.Events.emit cfg.Config.events "choose"
+          [ ("window_start", Batsched_obs.Events.I window_start);
+            ("dpf_steps", Batsched_obs.Events.I (probe.Probe.dpf_steps - dpf0))
+          ])
+    @@ fun () -> select cfg g ~seq ~window_start
+  end
+
+let choose_design_points (cfg : Config.t) g ~sequence ~window_start =
+  let m = Graph.num_points g in
+  if window_start < 0 || window_start >= m then
+    invalid_arg "Choose.choose_design_points: window out of range";
+  if not (Analysis.is_topological g sequence) then
+    invalid_arg "Choose.choose_design_points: invalid sequence";
+  unsafe_choose cfg g ~seq:(Array.of_list sequence) ~window_start

@@ -17,7 +17,9 @@
     across tagged positions: each trial is one root-to-leaf descent
     for the smallest applied prefix that meets the deadline, and moving
     to the next position rewrites the slots of two tasks.  The
-    per-graph tables are built once per graph and cached per domain
+    per-graph tables are built once per graph and cached per domain,
+    and the tree and its prefix arrays live in a per-domain workspace
+    that grows on demand and is reset, not reallocated, per call
     (derivation in DESIGN.md §9).  The descent relies on no upgrade
     step lengthening a task, i.e. on durations rising with the column
     index, which {!Batsched_taskgraph.Task.make} guarantees.  The seed
@@ -56,6 +58,11 @@ val calculate_dpf :
     @raise Invalid_argument if a free task is not at the lowest-power
     column. *)
 
+val column_time : Graph.t -> int -> float
+(** [column_time g j] is {!Batsched_taskgraph.Analysis.column_time},
+    read from the per-graph table cache.
+    @raise Invalid_argument if [j] is out of range. *)
+
 val choose_design_points :
   Config.t -> Graph.t -> sequence:int list -> window_start:int ->
   Assignment.t
@@ -71,3 +78,10 @@ val choose_design_points :
     @raise Config.Deadline_unmeetable if no feasible choice exists for
     some task (cannot happen when [window_start] satisfies
     [Analysis.column_time g window_start <= deadline]). *)
+
+val unsafe_choose :
+  Config.t -> Graph.t -> seq:int array -> window_start:int -> Assignment.t
+(** [choose_design_points] on a sequence the caller has already
+    validated, as an array: neither the linearization nor the window
+    range is re-checked.  {!Window.evaluate} validates its sequence
+    once per sweep and uses this for every window. *)

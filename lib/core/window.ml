@@ -15,7 +15,7 @@ type t = {
 
 let initial_window_start (cfg : Config.t) g =
   let d = cfg.Config.deadline in
-  let feasible ws = Analysis.column_time g ws <= d +. 1e-9 in
+  let feasible ws = Choose.column_time g ws <= d +. 1e-9 in
   if not (feasible 0) then raise Config.Deadline_unmeetable;
   let m = Graph.num_points g in
   (* The paper starts the scan at column m-1 (1-based), i.e. it never
@@ -33,15 +33,18 @@ let evaluate (cfg : Config.t) g ~sequence =
     end
     else initial_window_start cfg g
   in
+  (* One validation per sweep: every window then reaches Choose and
+     the cost through the entries that skip it. *)
+  if not (Analysis.is_topological g sequence) then
+    invalid_arg "Window.evaluate: invalid sequence";
+  let seq = Array.of_list sequence in
   let run ws =
     Batsched_obs.Sink.with_span cfg.Config.obs "window" (fun () ->
         let probe = Batsched_numeric.Probe.local () in
         probe.Batsched_numeric.Probe.window_evals <-
           probe.Batsched_numeric.Probe.window_evals + 1;
-        let assignment =
-          Choose.choose_design_points cfg g ~sequence ~window_start:ws
-        in
-        let sched = Schedule.make g ~sequence ~assignment in
+        let assignment = Choose.unsafe_choose cfg g ~seq ~window_start:ws in
+        let sched = Schedule.unsafe_make g ~sequence ~assignment in
         { window_start = ws;
           assignment;
           sigma = Schedule.battery_cost ~model:cfg.Config.model g sched;

@@ -32,8 +32,10 @@ val initial_window_start : Config.t -> Graph.t -> int
 val evaluate : Config.t -> Graph.t -> sequence:int list -> t
 (** Run the full window sweep for one sequence.  Window evaluations
     are independent and fan out over [cfg.pool]; [per_window] order,
-    [best] and its ties are bit-identical to a sequential sweep.
-    @raise Config.Deadline_unmeetable as {!initial_window_start}. *)
+    [best] and its ties are bit-identical to a sequential sweep.  The
+    sequence is validated once, in O(n + e), before the sweep.
+    @raise Config.Deadline_unmeetable as {!initial_window_start}.
+    @raise Invalid_argument if [sequence] is not a linearization. *)
 
 val mask : Graph.t -> window_start:int -> (int * bool) list
 (** [mask g ~window_start] is the Figure-3 view of a window: each

@@ -28,29 +28,34 @@ let cycle_profile g (spec : Spec.cycle_spec) =
   match spec with
   | Spec.Graph { graph; law; _ } ->
       let tasks = Array.of_list (Batsched_taskgraph.Graph.tasks graph) in
-      Profile.sequential_fn ~n:(Array.length tasks) (fun i ->
-          let task = tasks.(i) in
-          let col =
-            match law with
-            | Spec.Fastest -> 0
-            | Spec.Slowest -> Batsched_taskgraph.Task.num_points task - 1
-            | Spec.Uniform ->
-                Splitmix.rand_below g
-                  (Batsched_taskgraph.Task.num_points task)
-          in
-          let dp = Batsched_taskgraph.Task.point task col in
-          ( dp.Batsched_taskgraph.Task.current,
-            dp.Batsched_taskgraph.Task.duration ))
+      let n = Array.length tasks in
+      let currents = Array.make n 0.0 and durations = Array.make n 0.0 in
+      (* one column draw per task, in id order *)
+      for i = 0 to n - 1 do
+        let task = tasks.(i) in
+        let col =
+          match law with
+          | Spec.Fastest -> 0
+          | Spec.Slowest -> Batsched_taskgraph.Task.num_points task - 1
+          | Spec.Uniform ->
+              Splitmix.rand_below g (Batsched_taskgraph.Task.num_points task)
+        in
+        let dp = Batsched_taskgraph.Task.point task col in
+        currents.(i) <- dp.Batsched_taskgraph.Task.current;
+        durations.(i) <- dp.Batsched_taskgraph.Task.duration
+      done;
+      Profile.sequential_arrays ~currents ~durations ~pos:0 ~len:n
   | Spec.Bursts { count; current; duration } ->
       let n = Stdlib.max 1 (int_of_float (uniform g count)) in
       (* explicit loop: the per-burst draw order is part of the format *)
-      let draws = Array.make n (0.0, 0.0) in
+      let currents = Array.make n 0.0 and durations = Array.make n 0.0 in
       for i = 0 to n - 1 do
         let c = uniform g current in
         let d = uniform g duration in
-        draws.(i) <- (c, d)
+        currents.(i) <- c;
+        durations.(i) <- d
       done;
-      Profile.sequential_fn ~n (fun i -> draws.(i))
+      Profile.sequential_arrays ~currents ~durations ~pos:0 ~len:n
 
 let device (spec : Spec.t) ~base:b i =
   if i < 0 then invalid_arg "Sampler.device: negative index";

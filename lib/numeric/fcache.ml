@@ -114,31 +114,35 @@ let[@inline] fbits_equal a b =
 
 let[@inline] keys_match t slot =
   let base = slot * t.arity in
-  let rec eq i =
-    i >= t.arity
-    || (fbits_equal (t.keys.(base + i) : float) t.scratch.(i) && eq (i + 1))
-  in
-  eq 0
+  let i = ref 0 in
+  while
+    !i < t.arity && fbits_equal (t.keys.(base + !i) : float) t.scratch.(!i)
+  do
+    incr i
+  done;
+  !i >= t.arity
 
-(* Find the scratch key: value on a live bit-exact match, nan else. *)
-let find_scratch t =
+(* Find the scratch key: value on a live bit-exact match, nan else.
+   Loops, not local recursion, so the lookup inlines into the
+   [find*] call sites and its float result is never boxed. *)
+let[@inline] find_scratch t =
   let h = hash t in
-  let rec probe i =
-    if i >= max_probe then Float.nan
-    else begin
-      let slot = (h + i) land t.mask in
-      let stamp = Char.code (Bytes.unsafe_get t.stamps slot) in
-      if stamp = 0 then Float.nan
-      else if live t stamp && keys_match t slot then begin
-        (* refresh: a hot key survives generation turnover *)
-        if stamp <> t.current then
-          Bytes.unsafe_set t.stamps slot (Char.unsafe_chr t.current);
-        t.values.(slot)
-      end
-      else probe (i + 1)
+  let found = ref Float.nan in
+  let i = ref 0 in
+  while !i < max_probe do
+    let slot = (h + !i) land t.mask in
+    let stamp = Char.code (Bytes.unsafe_get t.stamps slot) in
+    if stamp = 0 then i := max_probe
+    else if live t stamp && keys_match t slot then begin
+      (* refresh: a hot key survives generation turnover *)
+      if stamp <> t.current then
+        Bytes.unsafe_set t.stamps slot (Char.unsafe_chr t.current);
+      found := t.values.(slot);
+      i := max_probe
     end
-  in
-  probe 0
+    else incr i
+  done;
+  !found
 
 let advance_generation t =
   t.previous <- t.current;
@@ -216,7 +220,7 @@ let add3 t k0 k1 k2 ~value =
   s.(2) <- k2;
   add_scratch t value
 
-let find5 t k0 k1 k2 k3 k4 =
+let[@inline] find5 t k0 k1 k2 k3 k4 =
   check_arity t 5 "find5";
   let s = t.scratch in
   s.(0) <- k0;
@@ -226,7 +230,7 @@ let find5 t k0 k1 k2 k3 k4 =
   s.(4) <- k4;
   find_scratch t
 
-let add5 t k0 k1 k2 k3 k4 ~value =
+let[@inline] add5 t k0 k1 k2 k3 k4 ~value =
   check_arity t 5 "add5";
   let s = t.scratch in
   s.(0) <- k0;

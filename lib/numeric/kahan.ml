@@ -38,7 +38,7 @@ module Acc = struct
     a.total <- 0.0;
     a.comp <- 0.0
 
-  let add a x =
+  let[@inline] add a x =
     let t = a.total +. x in
     a.comp <-
       a.comp

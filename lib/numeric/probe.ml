@@ -193,7 +193,7 @@ let local_key : slot Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       { counts = zero (); gen = Atomic.get generation })
 
-let local () =
+let[@inline] local () =
   let s = Domain.DLS.get local_key in
   let g = Atomic.get generation in
   if s.gen <> g then begin

@@ -22,12 +22,14 @@ let exp_sum ?(terms = default_terms) ~beta t =
   check_terms terms;
   let t = clamp_time t in
   let b2 = beta *. beta in
-  let term i =
+  (* [Kahan.sum_fn] order and arithmetic, with no boxed term *)
+  let acc = Kahan.Acc.create () in
+  for i = 0 to terms - 1 do
     let m = float_of_int (i + 1) in
     let m2 = m *. m in
-    exp (-.b2 *. m2 *. t) /. (b2 *. m2)
-  in
-  2.0 *. Kahan.sum_fn terms term
+    Kahan.Acc.add acc (exp (-.b2 *. m2 *. t) /. (b2 *. m2))
+  done;
+  2.0 *. Kahan.Acc.sum acc
 
 let kernel_direct ?(terms = default_terms) ~beta a b =
   check_beta beta;

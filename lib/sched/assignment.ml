@@ -15,6 +15,15 @@ let all_fastest g = uniform g 0
 
 let all_lowest_power g = uniform g (Graph.num_points g - 1)
 
+let init g f =
+  let m = Graph.num_points g in
+  let columns = Array.init (Graph.num_tasks g) f in
+  Array.iter
+    (fun j ->
+      if j < 0 || j >= m then invalid_arg "Assignment.init: column out of range")
+    columns;
+  { num_points = m; columns }
+
 let of_list g cols =
   let n = Graph.num_tasks g and m = Graph.num_points g in
   if List.length cols <> n then
@@ -45,7 +54,13 @@ let sum_over g t f =
   Kahan.sum_fn (Array.length t.columns) (fun i ->
       f (Graph.task g i) t.columns.(i))
 
-let total_time g t = sum_over g t (fun task j -> (Task.point task j).Task.duration)
+(* Same Neumaier order as [sum_over], with no boxed term per task. *)
+let total_time g t =
+  let acc = Kahan.Acc.create () in
+  for i = 0 to Array.length t.columns - 1 do
+    Kahan.Acc.add acc (Task.point (Graph.task g i) t.columns.(i)).Task.duration
+  done;
+  Kahan.Acc.sum acc
 
 let total_energy g t = sum_over g t Task.energy
 

@@ -22,6 +22,11 @@ val of_list : Graph.t -> int list -> t
     @raise Invalid_argument on length mismatch or out-of-range
     column. *)
 
+val init : Graph.t -> (int -> int) -> t
+(** [init g f] gives task [i] the column [f i], calling [f] once per
+    task in id order.
+    @raise Invalid_argument on an out-of-range column. *)
+
 val column : t -> int -> int
 (** [column a i] is the chosen column of task [i].
     @raise Invalid_argument if out of range. *)

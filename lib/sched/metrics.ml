@@ -1,6 +1,6 @@
 open Batsched_taskgraph
 
-let slack_ratio ~deadline ~time =
+let[@inline] slack_ratio ~deadline ~time =
   if not (deadline > 0.0) then invalid_arg "Metrics.slack_ratio: deadline <= 0";
   (deadline -. time) /. deadline
 

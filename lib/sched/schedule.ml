@@ -13,11 +13,21 @@ let unsafe_make g ~sequence ~assignment =
     invalid_arg "Schedule.unsafe_make: sequence length mismatch";
   { sequence; assignment }
 
+(* The chosen points' currents and durations, in sequence order, go
+   straight into the two arrays the profile is laid out from. *)
 let to_profile g t =
-  let seq = Array.of_list t.sequence in
-  Profile.sequential_fn ~n:(Array.length seq) (fun k ->
-      let p = Assignment.chosen_point g t.assignment seq.(k) in
-      (p.Task.current, p.Task.duration))
+  let n = List.length t.sequence in
+  let currents = Array.make n 0.0 and durations = Array.make n 0.0 in
+  let rec fill k = function
+    | [] -> ()
+    | i :: rest ->
+        let p = Assignment.chosen_point g t.assignment i in
+        currents.(k) <- p.Task.current;
+        durations.(k) <- p.Task.duration;
+        fill (k + 1) rest
+  in
+  fill 0 t.sequence;
+  Profile.sequential_arrays ~currents ~durations ~pos:0 ~len:n
 
 let finish_time g t = Assignment.total_time g t.assignment
 

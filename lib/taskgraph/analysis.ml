@@ -1,21 +1,28 @@
 open Batsched_numeric
 
+(* One pass places every id and rejects a repeat or an out-of-range
+   id; a second walks each task's successor list.  O(n + e), with no
+   edge list built. *)
 let is_topological g seq =
   let n = Graph.num_tasks g in
-  if List.length seq <> n then false
-  else begin
-    let position = Array.make n (-1) in
-    let ok = ref true in
-    List.iteri
-      (fun pos v ->
-        if v < 0 || v >= n || position.(v) >= 0 then ok := false
-        else position.(v) <- pos)
-      seq;
-    !ok
-    && List.for_all
-         (fun (a, b) -> position.(a) < position.(b))
-         (Graph.edges g)
-  end
+  let position = Array.make n (-1) in
+  let rec place pos = function
+    | [] -> pos = n
+    | v :: rest ->
+        if pos >= n || v < 0 || v >= n || position.(v) >= 0 then false
+        else begin
+          position.(v) <- pos;
+          place (pos + 1) rest
+        end
+  in
+  let rec before p = function
+    | [] -> true
+    | w :: rest -> p < position.(w) && before p rest
+  in
+  let rec edges v =
+    v >= n || (before position.(v) (Graph.succs g v) && edges (v + 1))
+  in
+  place 0 seq && edges 0
 
 (* Each task is weighed once, up front; the n picks then scan the
    weight array.  The scan goes v = 0 .. n-1 and only a strictly larger
@@ -24,7 +31,8 @@ let is_topological g seq =
    the deterministic rule documented in DESIGN.md. *)
 let list_schedule ~weight g =
   let n = Graph.num_tasks g in
-  let weights = Array.init n weight in
+  (* typed, or the comparison below is the boxing polymorphic one *)
+  let weights : float array = Array.init n weight in
   let remaining_preds = Array.init n (fun i -> List.length (Graph.preds g i)) in
   let scheduled = Array.make n false in
   let rec step acc count =

@@ -59,9 +59,15 @@ let charge t j =
   let p = point t j in
   p.current *. p.duration
 
+(* [Kahan.sum_fn m (energy t)] in the same order, with no boxed term *)
 let average_energy t =
   let m = num_points t in
-  Batsched_numeric.Kahan.sum_fn m (energy t) /. float_of_int m
+  let acc = Batsched_numeric.Kahan.Acc.create () in
+  for j = 0 to m - 1 do
+    let p = t.points.(j) in
+    Batsched_numeric.Kahan.Acc.add acc (p.current *. p.voltage *. p.duration)
+  done;
+  Batsched_numeric.Kahan.Acc.sum acc /. float_of_int m
 
 let min_current t = (slowest t).current
 

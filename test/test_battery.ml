@@ -764,14 +764,29 @@ let test_profile_fold_until_matches_truncate () =
         (Printf.sprintf "at %.1f" at) copied folded)
     [ 0.0; 1.0; 2.0; 3.5; 9.0; 20.0 ]
 
-let test_profile_sequential_fn_matches_sequential () =
+let test_profile_sequential_arrays_matches_sequential () =
   let pairs = [ (100.0, 2.0); (200.0, 0.0); (50.0, 4.0) ] in
-  let arr = Array.of_list pairs in
   let a = Profile.sequential pairs in
-  let b = Profile.sequential_fn ~n:(Array.length arr) (fun i -> arr.(i)) in
+  (* the pairs sit at [1 .. 3] of longer arrays *)
+  let currents = [| 7.0; 100.0; 200.0; 50.0; 9.0 |] in
+  let durations = [| 1.0; 2.0; 0.0; 4.0; 3.0 |] in
+  let b = Profile.sequential_arrays ~currents ~durations ~pos:1 ~len:3 in
   Alcotest.(check int) "count" (Profile.num_intervals a) (Profile.num_intervals b);
+  Alcotest.(check int) "zero duration dropped" 2 (Profile.num_intervals b);
   check_float "length" (Profile.length a) (Profile.length b);
-  check_float "charge" (Profile.total_charge a) (Profile.total_charge b)
+  check_float "charge" (Profile.total_charge a) (Profile.total_charge b);
+  for i = 0 to 1 do
+    check_float "start" (Profile.start a i) (Profile.start b i);
+    check_float "duration" (Profile.duration a i) (Profile.duration b i);
+    check_float "current" (Profile.current a i) (Profile.current b i)
+  done;
+  check_float "second start" 2.0 (Profile.start b 1);
+  currents.(1) <- 0.0;
+  check_float "arrays copied" 100.0 (Profile.current b 0);
+  Alcotest.check_raises "range"
+    (Invalid_argument "Profile.sequential_arrays: range out of bounds")
+    (fun () ->
+      ignore (Profile.sequential_arrays ~currents ~durations ~pos:3 ~len:3))
 
 (* --- Delta: incremental sigma evaluation --- *)
 
@@ -1229,8 +1244,8 @@ let prop_sigma_batch_matches_sequential =
           let want =
             Array.init pop (fun p ->
                 let profile =
-                  Profile.sequential_fn ~n (fun k ->
-                      (currents.((p * n) + k), durations.((p * n) + k)))
+                  Profile.sequential_arrays ~currents ~durations
+                    ~pos:(p * n) ~len:n
                 in
                 (Model.sigma_end model profile, Profile.length profile))
           in
@@ -1283,7 +1298,7 @@ let () =
           Alcotest.test_case "with idle" `Quick test_profile_with_idle;
           Alcotest.test_case "peak current" `Quick test_profile_peak_current;
           Alcotest.test_case "fold_until matches truncate" `Quick test_profile_fold_until_matches_truncate;
-          Alcotest.test_case "sequential_fn matches sequential" `Quick test_profile_sequential_fn_matches_sequential ] );
+          Alcotest.test_case "sequential_arrays matches sequential" `Quick test_profile_sequential_arrays_matches_sequential ] );
       ( "ideal",
         [ Alcotest.test_case "equals charge" `Quick test_ideal_equals_charge;
           Alcotest.test_case "truncation" `Quick test_ideal_truncation ] );

@@ -1070,6 +1070,109 @@ let test_choose_table_cache () =
         (windows parallel_pool g))
     order
 
+(* Choose keeps its segment tree and prefix arrays in a per-domain
+   workspace that grows on demand and is reset per call.  Calls
+   interleaved over graphs of different size and design-point count, at
+   every window start and at loose and tight deadlines, must each equal
+   a call on a fresh domain (an empty workspace) and the oracle.  Each
+   selection is followed by a [calculate_dpf] at the middle position,
+   which stops with live slots in the tree, so a stale leaf or prefix
+   entry left for the next, smaller call would show here. *)
+let test_choose_workspace_reuse () =
+  let module C = Batsched.Choose in
+  let big =
+    let spec = { Generators.default_spec with Generators.num_points = 6 } in
+    Generators.random_dag ~rng:(Batsched_numeric.Rng.create 256) ~spec ~n:256
+      ~edge_prob:(4.0 /. 256.0)
+  in
+  let g2 = Instances.g2 and g3 = Instances.g3 in
+  (* tight deadlines too: an infeasible trial reads the whole tree *)
+  let deadlines g =
+    if g == g2 then [ 55.0; 75.0; 95.0 ]
+    else if g == g3 then [ 100.0; 150.0; 230.0 ]
+    else
+      List.map (fun slack -> Generators.feasible_deadline g ~slack) [ 0.05; 0.6 ]
+  in
+  (* selection, then CalculateDPF for the middle task with the
+     selection as the fixed suffix and the prefix parked *)
+  let run choose dpf g cfg ~ws =
+    let sequence = Priorities.sequence_dec_energy g in
+    match choose cfg g ~sequence ~window_start:ws with
+    | exception e -> (Error (Printexc.to_string e), None)
+    | a ->
+        let seq = Array.of_list sequence in
+        let n = Array.length seq and lowest = Graph.num_points g - 1 in
+        let tagged_pos = n / 2 in
+        let pos_of = Array.make n 0 in
+        Array.iteri (fun p t -> pos_of.(t) <- p) seq;
+        let parked =
+          Assignment.init g (fun t ->
+              if pos_of.(t) < tagged_pos then lowest else Assignment.column a t)
+        in
+        let r : C.dpf_result =
+          dpf cfg g ~sequence:seq ~assignment:parked ~tagged_pos ~window_start:ws
+        in
+        ( Ok (Assignment.to_list a),
+          Some (r.C.enr, r.C.cif, r.C.dpf, Assignment.to_list r.C.hypothetical) )
+  in
+  let prod = run C.choose_design_points C.calculate_dpf in
+  let oracle =
+    run Batsched_oracle.Choose.choose_design_points
+      Batsched_oracle.Choose.calculate_dpf
+  in
+  let fresh f = Domain.join (Domain.spawn f) in
+  let bits = Int64.bits_of_float in
+  List.iteri
+    (fun i g ->
+      List.iter
+        (fun deadline ->
+          let cfg = Batsched.Config.make ~deadline () in
+          for ws = 0 to Graph.num_points g - 1 do
+            let name =
+              Printf.sprintf "call %d (%s) d %g ws %d" i (Graph.label g) deadline ws
+            in
+            let sel, dpf = prod g cfg ~ws in
+            let sel_f, dpf_f = fresh (fun () -> prod g cfg ~ws) in
+            let sel_o, dpf_o = oracle g cfg ~ws in
+            let result = Alcotest.(result (list int) string) in
+            Alcotest.check result (name ^ " fresh domain") sel_f sel;
+            Alcotest.check result (name ^ " oracle") sel_o sel;
+            match (dpf, dpf_f, dpf_o) with
+            | None, None, None -> ()
+            | Some (e, c, d, h), Some (ef, cf, df, hf), Some (eo, co, d_o, ho) ->
+                Alcotest.(check (list int64)) (name ^ " dpf fresh domain")
+                  [ bits ef; bits cf; bits df ] [ bits e; bits c; bits d ];
+                Alcotest.(check (list int)) (name ^ " hypothetical fresh domain") hf h;
+                check_float (name ^ " enr oracle") eo e;
+                check_float (name ^ " cif oracle") co c;
+                Alcotest.(check bool) (name ^ " dpf oracle") true
+                  (d = d_o || Float.abs (d -. d_o) <= 1e-9);
+                Alcotest.(check (list int)) (name ^ " hypothetical oracle") ho h
+            | _ -> Alcotest.fail (name ^ ": selection outcomes differ")
+          done)
+        (deadlines g))
+    [ big; g2; g3; big; g3; g2; big ];
+  (* the sweep fans windows out over pool domains, each with its own
+     workspace: pools of 1 and 4 must agree bit for bit *)
+  List.iter
+    (fun g ->
+      let sweep pool =
+        let cfg =
+          Batsched.Config.make ~pool ~deadline:(List.nth (deadlines g) 1) ()
+        in
+        List.map
+          (fun (r : Batsched.Window.window_result) ->
+            ( (r.window_start, Assignment.to_list r.assignment),
+              (bits r.sigma, bits r.finish) ))
+          (Batsched.Window.evaluate cfg g
+             ~sequence:(Priorities.sequence_dec_energy g)).Batsched.Window.per_window
+      in
+      Alcotest.(check (list (pair (pair int (list int)) (pair int64 int64))))
+        (Graph.label g ^ " pools 1 and 4")
+        (sweep Batsched_numeric.Pool.sequential)
+        (sweep parallel_pool))
+    [ big; g2; g3 ]
+
 (* The paper loop's deterministic Choose work on the published
    instances.  [dpf_steps] counts the steps a forward walk from the
    previous trial's completion would apply, so a changed feasibility
@@ -1130,7 +1233,8 @@ let () =
           Alcotest.test_case "single task" `Quick test_choose_single_task;
           Alcotest.test_case "two tasks" `Quick test_choose_two_tasks;
           Alcotest.test_case "narrowest window" `Quick test_choose_narrowest_window;
-          Alcotest.test_case "table cache" `Quick test_choose_table_cache ] );
+          Alcotest.test_case "table cache" `Quick test_choose_table_cache;
+          Alcotest.test_case "workspace reuse" `Quick test_choose_workspace_reuse ] );
       ( "iterate",
         [ Alcotest.test_case "G3 shape" `Quick test_iterate_g3_shape;
           Alcotest.test_case "G3 beats first iteration" `Quick test_iterate_g3_beats_first_iteration;

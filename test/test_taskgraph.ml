@@ -129,7 +129,14 @@ let test_topological_rejects_invalid () =
     (Analysis.is_topological g [ 1; 0; 2; 3 ]);
   Alcotest.(check bool) "duplicate" false
     (Analysis.is_topological g [ 0; 1; 1; 3 ]);
-  Alcotest.(check bool) "short" false (Analysis.is_topological g [ 0; 1 ])
+  Alcotest.(check bool) "short" false (Analysis.is_topological g [ 0; 1 ]);
+  Alcotest.(check bool) "long" false
+    (Analysis.is_topological g [ 0; 1; 2; 3; 3 ]);
+  Alcotest.(check bool) "id too large" false
+    (Analysis.is_topological g [ 0; 1; 2; 4 ]);
+  Alcotest.(check bool) "negative id" false
+    (Analysis.is_topological g [ -1; 0; 1; 2 ]);
+  Alcotest.(check bool) "empty" false (Analysis.is_topological g [])
 
 let test_list_schedule_respects_weight () =
   let g = diamond () in
@@ -618,6 +625,57 @@ let prop_generated_graphs_linearizable =
     gen_graph (fun g ->
       Analysis.is_topological g (Analysis.any_topological_order g))
 
+(* The successor-list walk against the edge-list oracle, on random DAGs
+   of up to 40 tasks and candidate orders of seven kinds: a valid order,
+   then that order cut short, lengthened by a repeat, with one id
+   duplicated, with one id out of range, with two positions swapped (a
+   violated edge when the two are related), and a random permutation. *)
+let prop_is_topological_matches_oracle =
+  QCheck.Test.make ~count:500 ~name:"is_topological matches the edge-list oracle"
+    QCheck.(triple (int_bound 10_000) (int_range 1 40) (int_bound 6))
+    (fun (seed, n, kind) ->
+      let rng = Batsched_numeric.Rng.create seed in
+      let g =
+        Generators.random_dag ~rng ~spec:Generators.default_spec ~n
+          ~edge_prob:(Batsched_numeric.Rng.float rng 0.5)
+      in
+      let weights = Array.init n (fun _ -> Batsched_numeric.Rng.float rng 1.0) in
+      let order =
+        Array.of_list (Analysis.list_schedule ~weight:(Array.get weights) g)
+      in
+      let pick () = Batsched_numeric.Rng.int rng n in
+      let seq =
+        match kind with
+        | 0 -> order
+        | 1 -> Array.sub order 0 (n - 1)
+        | 2 -> Array.append order [| order.(pick ()) |]
+        | 3 ->
+            let a = Array.copy order and i = pick () and j = pick () in
+            a.(i) <- order.(if i = j then (j + 1) mod n else j);
+            a
+        | 4 ->
+            let a = Array.copy order in
+            a.(pick ()) <- (if Batsched_numeric.Rng.int rng 2 = 0 then -1 else n);
+            a
+        | 5 ->
+            let a = Array.copy order and i = pick () and j = pick () in
+            a.(i) <- order.(j);
+            a.(j) <- order.(i);
+            a
+        | _ ->
+            let a = Array.init n Fun.id in
+            Batsched_numeric.Rng.shuffle rng a;
+            a
+      in
+      let seq = Array.to_list seq in
+      let got = Analysis.is_topological g seq in
+      got = Batsched_oracle.Analysis.is_topological g seq
+      && (match kind with
+         | 0 -> got
+         | 1 | 2 | 4 -> not got
+         | 3 -> n = 1 || not got
+         | _ -> true))
+
 let prop_list_schedule_topological =
   QCheck.Test.make ~count:100
     ~name:"list schedule is topological for any weight"
@@ -739,6 +797,7 @@ let prop_merge_preserves_charge =
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_generated_graphs_linearizable;
+      prop_is_topological_matches_oracle;
       prop_list_schedule_topological;
       prop_textio_roundtrip;
       prop_descendants_contains_self;
